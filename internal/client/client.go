@@ -40,6 +40,11 @@ import (
 // response (a full-size batch) is a few MB.
 const maxResponseBytes = 64 << 20
 
+// AttemptHeader marks a hedge attempt on the wire: the hedge carries
+// "X-Lattold-Attempt: hedge", the primary carries no such header, so servers
+// and tests can tell the two identical requests apart.
+const AttemptHeader = "X-Lattold-Attempt"
+
 // Options configures a Client. The zero value selects sensible defaults.
 type Options struct {
 	// HTTPClient issues the requests. Default: a dedicated client with no
@@ -285,7 +290,15 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, hdr http
 	}
 	ch := make(chan outcome, 2)
 	launch := func(hedged bool) {
-		res, err := c.once(hctx, path, body, hdr)
+		h := hdr
+		if hedged {
+			h = hdr.Clone()
+			if h == nil {
+				h = http.Header{}
+			}
+			h.Set(AttemptHeader, "hedge")
+		}
+		res, err := c.once(hctx, path, body, h)
 		ch <- outcome{res, err, hedged}
 	}
 	go launch(false)

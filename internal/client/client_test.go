@@ -239,17 +239,26 @@ func TestNoRetryOn400(t *testing.T) {
 }
 
 // TestHedgedRequest primes the latency window with fast responses, then
-// stalls the primary: the hedge must fire and win.
+// stalls the primary: the hedge must fire and win. The primary is picked by
+// identity (it lacks the attempt header), not by arrival order — the hedge
+// may reach the server first.
 func TestHedgedRequest(t *testing.T) {
 	stall := make(chan struct{})
-	var calls atomic.Int64
+	primaryIn := make(chan struct{})
 	var stalled atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 2 {
-			// The first post-priming attempt (the primary) blocks until the
-			// test releases it; the hedge sails through.
-			stalled.Add(1)
-			<-stall
+		if r.URL.Path == "/hedged" {
+			if r.Header.Get(lattolclient.AttemptHeader) == "" {
+				// The primary blocks until the test releases it.
+				if stalled.Add(1) == 1 {
+					close(primaryIn)
+				}
+				<-stall
+			} else {
+				// The hedge answers once the primary is stalled, so the
+				// assertions below never race the primary's arrival.
+				<-primaryIn
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`{"ok":true}`))

@@ -281,6 +281,11 @@ func (m *Model) solveSymmetric(opts SolveOptions, ws *Workspace) (Metrics, error
 		if cycle <= 0 {
 			return Metrics{}, fmt.Errorf("mms: degenerate zero cycle time")
 		}
+		if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
+			// The times overflow float64: the iterate can never reach the
+			// fixed point, and it must not seed the next warm start.
+			return Metrics{}, &mva.NonConvergenceError{Iterations: iter - 1, MaxDelta: math.Inf(1), Tolerance: opts.Tolerance}
+		}
 		lambda = nt / cycle
 		maxDelta := 0.0
 		if scheme == fixpoint.None {

@@ -20,7 +20,8 @@ import (
 // evalG evaluates one Bard–Schweitzer sweep at the iterate x, writing the
 // updated queue lengths into g (x is not modified) and filling the result's
 // Wait, Throughput and CycleTime from this sweep. It returns the residual
-// ‖g − x‖∞, the quantity the convergence test compares against Tolerance.
+// ‖g − x‖∞, the quantity the convergence test compares against Tolerance, or
+// +Inf when a cycle time overflows float64.
 // Rows of zero-population classes are zeroed in g: the sweep skips them, and
 // all iterates must keep them at zero so they never contribute to the column
 // sums.
@@ -53,6 +54,9 @@ func (ws *Workspace) evalG(net *queueing.Network, opts AMVAOptions, x, g []float
 		}
 		if cycle == 0 {
 			return 0, fmt.Errorf("mva: class %q has zero total demand", cl.Name)
+		}
+		if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
+			return math.Inf(1), nil // overflow; iterateAccel reports it
 		}
 		r.Throughput[c] = ni / cycle
 		r.CycleTime[c] = cycle
@@ -106,6 +110,9 @@ func (ws *Workspace) iterateAccel(net *queueing.Network, opts AMVAOptions, r *Re
 		resid, err = ws.evalG(net, opts, x, g, r)
 		if err != nil {
 			return err
+		}
+		if math.IsInf(resid, 1) {
+			return overflowError(iter-1, opts.Tolerance)
 		}
 		if resid < opts.Tolerance {
 			copy(x, g)

@@ -158,8 +158,20 @@ type NonConvergenceError struct {
 }
 
 func (e *NonConvergenceError) Error() string {
+	if math.IsInf(e.MaxDelta, 1) {
+		return fmt.Sprintf("mva: Bard–Schweitzer iterate overflowed float64 after %d iterations; the times are out of range", e.Iterations)
+	}
 	return fmt.Sprintf("mva: Bard–Schweitzer did not converge within %d iterations (tol %g, last max delta %g)",
 		e.Iterations, e.Tolerance, e.MaxDelta)
+}
+
+// overflowError is the error of an iteration whose cycle time left float64
+// (+Inf or NaN): the network's times are outside float64 range, so the
+// iterate can never reach the fixed point. It reports non-convergence after
+// the iterations that ran, with an unbounded last step, and — like every
+// failed solve — never seeds a warm start.
+func overflowError(iters int, tol float64) *NonConvergenceError {
+	return &NonConvergenceError{Iterations: iters, MaxDelta: math.Inf(1), Tolerance: tol}
 }
 
 // ApproxMultiClass solves a closed multiclass network with the
@@ -289,6 +301,9 @@ func (ws *Workspace) iteratePlain(net *queueing.Network, opts AMVAOptions, r *Re
 			}
 			if cycle == 0 {
 				return fmt.Errorf("mva: class %q has zero total demand", cl.Name)
+			}
+			if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
+				return overflowError(iter-1, opts.Tolerance)
 			}
 			r.Throughput[c] = ni / cycle
 			r.CycleTime[c] = cycle

@@ -440,6 +440,15 @@ func (ws *BatchWorkspace) seedUniform(b int) {
 	}
 }
 
+// cycleErr is the error of a lane whose cycle time left (0, +Inf): zero total
+// demand is degenerate, anything else is an overflow (see overflowError).
+func cycleErr(b, iters int, cycle, tol float64) error {
+	if cycle <= 0 {
+		return fmt.Errorf("mva: batch lane %d: degenerate zero total demand", b)
+	}
+	return overflowError(iters, tol)
+}
+
 // pilotSolve iterates a single lane to convergence with strided scalar
 // loops. Running the B-wide lockstep loops with one live lane would cost
 // B× the work of the lane actually iterating, so the cold pilot gets its own
@@ -466,7 +475,7 @@ func (ws *BatchWorkspace) pilotSolve(b int, tol float64, maxIter int) {
 			cycle += ws.em[at] * wv
 		}
 		if !(cycle > 0) || math.IsInf(cycle, 0) {
-			ws.errs[b] = fmt.Errorf("mva: batch lane %d: degenerate zero total demand", b)
+			ws.errs[b] = cycleErr(b, ws.iters[b], cycle, tol)
 			ws.lambda[b] = 0
 			return
 		}
@@ -555,7 +564,7 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 			}
 			if !(cycle > 0) || math.IsInf(cycle, 0) {
 				b := ws.lane[c]
-				ws.errs[b] = fmt.Errorf("mva: batch lane %d: degenerate zero total demand", b)
+				ws.errs[b] = cycleErr(b, ws.iters[b], cycle, tol)
 				lam[c] = 0
 				live = ws.retire(c, live)
 				continue

@@ -82,18 +82,12 @@ func assemble(opts eval.Options, outs []keyOutcome) (eval.Metrics, error) {
 	return met, nil
 }
 
-// Evaluate satisfies eval.Evaluator: one probe through the cache.
+// Evaluate satisfies eval.Evaluator: one probe is a one-config batch.
 func (pe *planEvaluator) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Options) (eval.Metrics, error) {
-	pe.keys = pe.keysFor(pe.keys[:0], cfg, opts)
-	if cap(pe.outs) < len(pe.keys) {
-		pe.outs = make([]keyOutcome, len(pe.keys))
-	}
-	outs := pe.outs[:len(pe.keys)]
-	for i := range outs {
-		res, st, err := pe.e.evalKey(ctx, pe.keys[i])
-		outs[i] = keyOutcome{res: res, st: st, err: err}
-	}
-	return assemble(opts, outs)
+	cfgs := [1]eval.Config{cfg}
+	var out [1]eval.Outcome
+	pe.EvaluateBatch(ctx, cfgs[:], opts, out[:])
+	return out[0].Metrics, out[0].Err
 }
 
 // EvaluateBatch satisfies eval.BatchEvaluator: one lockstep frontier round
@@ -113,10 +107,7 @@ func (pe *planEvaluator) EvaluateBatch(ctx context.Context, cfgs []eval.Config, 
 		pe.outs = make([]keyOutcome, len(keys))
 	}
 	outs := pe.outs[:len(keys)]
-	for i := range outs {
-		outs[i] = keyOutcome{}
-	}
-	pe.e.evalKeyBatch(ctx, keys, outs)
+	pe.e.evalKeys(ctx, keys, nil, outs)
 	for i := range cfgs {
 		met, err := assemble(opts, outs[i*perCfg:(i+1)*perCfg])
 		out[i] = eval.Outcome{Metrics: met, Err: err}

@@ -88,11 +88,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one admitted evaluation waiting for a worker: either a single
-// entry (ent) or the cache-missing entries of one batch request (ents),
+// task is one admitted evaluation waiting for a worker: the cache-missing
+// entries of one request (a single key for /v1/solve and /v1/tolerance),
 // solved together as one lockstep batch.
 type task struct {
-	ent  *entry
 	ents []*entry
 	ctx  context.Context
 	enq  time.Time
@@ -262,77 +261,36 @@ func (e *Evaluator) worker() {
 	ws := new(mms.Workspace)
 	for t := range e.tasks {
 		e.met.queueWait.observe(time.Since(t.enq))
-		if t.ents != nil {
-			e.runBatch(ws, t)
-			continue
-		}
 		if err := t.ctx.Err(); err != nil {
-			// The submitter's context is the only one the task carries, so the
-			// completion error is its context error. Coalesced waiters whose
-			// own contexts are live treat that as foreign and retry (evalKey).
-			e.cache.complete(t.ent, result{}, err)
+			// The submitter's context is the only one the task carries, so
+			// every entry completes with its context error. Waiters that
+			// coalesced onto these entries from other requests see a foreign
+			// context error and retry (evalKeys).
+			for _, ent := range t.ents {
+				e.cache.complete(ent, result{}, err)
+			}
 			continue
 		}
 		e.met.inFlight.Add(1)
 		if e.solveHook != nil {
-			e.solveHook(t.ent.key)
+			for _, ent := range t.ents {
+				e.solveHook(ent.key)
+			}
 		}
 		start := time.Now()
-		res, err := computeKey(ws, t.ent.key)
+		e.computeBatch(ws, t.ents)
 		e.met.solveLatency.observe(time.Since(start))
 		e.met.inFlight.Add(-1)
-		e.recordSolve(res, err)
-		if n := e.cache.complete(t.ent, res, err); n > 0 {
-			e.met.cacheEvictions.Add(uint64(n))
-		}
 	}
-}
-
-// recordSolve updates the solve counters for one completed evaluation.
-// Tolerance evaluations solve two systems (real + ideal); both iteration
-// counts are recorded so the histogram reflects every solver run, not every
-// request.
-func (e *Evaluator) recordSolve(res result, err error) {
-	e.met.solves.Add(1)
-	if err != nil {
-		e.met.solveErrors.Add(1)
-		return
-	}
-	if n := res.real.Iterations; n > 0 {
-		e.met.solveIterations.observe(uint64(n))
-	}
-	if n := res.ideal.Iterations; n > 0 {
-		e.met.solveIterations.observe(uint64(n))
-	}
-}
-
-// runBatch solves the cache-missing entries of one batch request as a single
-// mms batch on this worker's workspace, completing each entry positionally.
-func (e *Evaluator) runBatch(ws *mms.Workspace, t task) {
-	if err := t.ctx.Err(); err != nil {
-		// The batch submitter is gone; complete every entry with its context
-		// error. Waiters that coalesced onto these entries from other
-		// requests see a foreign context error and retry.
-		for _, ent := range t.ents {
-			e.cache.complete(ent, result{}, err)
-		}
-		return
-	}
-	e.met.inFlight.Add(1)
-	if e.solveHook != nil {
-		for _, ent := range t.ents {
-			e.solveHook(ent.key)
-		}
-	}
-	start := time.Now()
-	e.computeBatch(ws, t.ents)
-	e.met.solveLatency.observe(time.Since(start))
-	e.met.inFlight.Add(-1)
 }
 
 // computeBatch translates entries into mms batch items — one per solve key,
 // two per tolerance key (real system, then ideal) — runs them as one lockstep
-// batch and completes each entry from its span of the positional results.
+// batch on the worker's workspace and completes each entry from its span of
+// the positional results. The workspace carries its last converged solution
+// forward, so runs of same-shape requests converge from a continuation guess
+// instead of from scratch; full-AMVA items additionally get warm starting and
+// Anderson mixing (same fixed point; see mva.Accel).
 func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
 	items := make([]mms.BatchItem, 0, 2*len(ents))
 	for _, ent := range ents {
@@ -376,42 +334,69 @@ func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
 			pos++
 			res.real, err = re.Metrics, re.Err
 		}
-		e.recordSolve(res, err)
+		if err == nil {
+			err = finiteErr(res)
+		}
+		e.met.solves.Add(1)
+		if err != nil {
+			e.met.solveErrors.Add(1)
+		} else {
+			// A tolerance key solves two systems (real + ideal); both iteration
+			// counts are recorded so the histogram reflects every solver run,
+			// not every request.
+			for _, n := range [...]int{res.real.Iterations, res.ideal.Iterations} {
+				if n > 0 {
+					e.met.solveIterations.observe(uint64(n))
+				}
+			}
+		}
 		if n := e.cache.complete(ent, res, err); n > 0 {
 			e.met.cacheEvictions.Add(uint64(n))
 		}
 	}
 }
 
-// computeKey runs the evaluation a key denotes on the worker's workspace.
-// Warm starting and Anderson mixing are always on: each worker's workspace
-// carries its previous converged solution forward, so runs of same-shape
-// requests (sweeps fanned over the pool, repeated nearby configurations)
-// converge from a continuation guess instead of from scratch, and the
-// remaining iterations are accelerated (same fixed point; see mva.Accel).
-func computeKey(ws *mms.Workspace, k Key) (result, error) {
-	cfg := k.config()
-	opts := mms.SolveOptions{Solver: k.solver, Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson}
-	switch k.op {
-	case opSolve:
-		model, err := mms.Build(cfg)
-		if err != nil {
-			return result{}, err
+// nonFiniteError reports an evaluation whose result left the float64 range:
+// the configuration is valid, but its scale (a time like 1e308) overflows the
+// solution to ±Inf or NaN. The AMVA solvers report that as non-convergence;
+// this catches every other solver. JSON cannot carry such a value and the
+// question has no answer as posed, so the key fails with HTTP 422 and, like
+// every error, is not cached.
+type nonFiniteError struct {
+	metric string
+	value  float64
+}
+
+func (e *nonFiniteError) Error() string {
+	return fmt.Sprintf("serve: %s = %v is not finite; the configuration is outside the solver's floating-point range", e.metric, e.value)
+}
+
+// finiteErr returns a *nonFiniteError naming the first non-finite value of
+// res, or nil when every value is finite.
+func finiteErr(res result) error {
+	for _, sys := range [...]struct {
+		prefix string
+		m      *mms.Metrics
+	}{{"", &res.real}, {"ideal.", &res.ideal}} {
+		m := sys.m
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{
+			{"u_p", m.Up}, {"lambda", m.LambdaProc}, {"lambda_net", m.LambdaNet},
+			{"s_obs", m.SObs}, {"l_obs", m.LObs}, {"cycle_time", m.CycleTime},
+			{"mem_utilization", m.MemUtilization}, {"out_utilization", m.OutUtilization},
+			{"in_utilization", m.InUtilization},
+		} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return &nonFiniteError{metric: sys.prefix + f.name, value: f.v}
+			}
 		}
-		met, err := model.Solve(opts)
-		if err != nil {
-			return result{}, err
-		}
-		return result{real: met}, nil
-	case opTolerance:
-		idx, err := tolerance.Compute(cfg, k.sub, k.mode, opts)
-		if err != nil {
-			return result{}, err
-		}
-		return result{real: idx.Real, ideal: idx.Ideal, tol: idx.Tol}, nil
-	default:
-		return result{}, fmt.Errorf("serve: unknown operation %d", k.op)
 	}
+	if math.IsNaN(res.tol) || math.IsInf(res.tol, 0) {
+		return &nonFiniteError{metric: "tol", value: res.tol}
+	}
+	return nil
 }
 
 // retryableCompletion reports whether an entry's completion error belongs to
@@ -428,131 +413,103 @@ func retryableCompletion(err error) bool {
 		errors.Is(err, ErrDraining)
 }
 
-// evalKey satisfies one canonical evaluation: cache hit, coalesce onto an
-// identical in-flight evaluation, or lead a new one through the pool. When
-// the caller's context expires while leading, the solve itself keeps running
-// and its result still lands in the cache for later requests. A waiter that
-// coalesced onto a leader whose context died (or whose submission was shed)
-// retries with its own admission rather than inheriting the foreign error.
-func (e *Evaluator) evalKey(ctx context.Context, k Key) (result, cacheState, error) {
-	for {
-		ent, st := e.cache.getOrStart(k)
-		switch st {
-		case stateHit:
-			e.met.cacheHits.Add(1)
-			return ent.res, st, nil
-		case stateWait:
-			e.met.cacheCoalesced.Add(1)
-			select {
-			case <-ent.done:
-				if retryableCompletion(ent.err) && ctx.Err() == nil {
-					continue
-				}
-				return ent.res, st, ent.err
-			case <-ctx.Done():
-				return result{}, st, ctx.Err()
-			}
-		default: // stateLead
-			e.met.cacheMisses.Add(1)
-			if err := e.submit(task{ent: ent, ctx: ctx, enq: time.Now()}); err != nil {
-				// Wake any waiter that coalesced onto us in the meantime; our
-				// admission error is foreign to them, so they retry. Nothing
-				// is cached.
-				e.cache.complete(ent, result{}, err)
-				return result{}, st, err
-			}
-			select {
-			case <-ent.done:
-				return ent.res, st, ent.err
-			case <-ctx.Done():
-				return result{}, st, ctx.Err()
-			}
-		}
-	}
-}
-
-// keyOutcome is the per-position product of evalKeyBatch.
+// keyOutcome is the per-position product of evalKeys.
 type keyOutcome struct {
 	res result
 	st  cacheState
 	err error
+	// bound is the certified relative error bound of an interpolated answer
+	// (st == stateSurrogate); 0 for exact results.
+	bound float64
 }
 
-// evalKeyBatch satisfies a positional list of canonical keys. Cache hits are
-// extracted inline before any solver runs; keys already in flight elsewhere
-// are coalesced; every remaining miss is submitted as ONE batch task, so a
-// single worker iterates all of them in lockstep with continuation seeding
-// between the points. Positions whose key is the zero Key (op 0) are skipped —
-// the caller has already resolved them. out must have len(keys).
-func (e *Evaluator) evalKeyBatch(ctx context.Context, keys []Key, out []keyOutcome) {
+// evalKeys satisfies a positional list of canonical keys. It is the one
+// resolver behind every endpoint: a single request is a one-key list. Each
+// position runs the three-level lookup: a solve key with a positive maxErr
+// tries the LRU without taking leadership, then the surrogate grid; every
+// other key, and every key those tiers miss, goes through getOrStart — cache
+// hit, coalesce onto an identical in-flight evaluation, or lead. All leads are
+// submitted as ONE task, so a single worker iterates them in lockstep with
+// continuation seeding between the points. maxErr is index-aligned with keys,
+// or nil when every answer must be exact. Positions whose key is the zero Key
+// (op 0) are skipped — the caller has already resolved them. out must have
+// len(keys); every other position gets its state, error and bound, and its
+// result whenever the error is nil, so out may hold stale outcomes.
+//
+// When the caller's context expires while leading, the solve itself keeps
+// running and its result still lands in the cache for later requests. A
+// position that coalesced onto a leader whose context died (or whose
+// submission was shed) retries with its own admission rather than inheriting
+// the foreign error.
+func (e *Evaluator) evalKeys(ctx context.Context, keys []Key, maxErr []float64, out []keyOutcome) {
 	var pending []*entry // index-aligned with keys; nil on the all-hit fast path
 	var leads []*entry
 	for i := range keys {
-		if keys[i].op == 0 {
+		k, o := &keys[i], &out[i]
+		if k.op == 0 {
 			continue
 		}
-		ent, st := e.cache.getOrStart(keys[i])
-		out[i].st = st
+		o.err, o.bound = nil, 0
+		if maxErr != nil && maxErr[i] > 0 && k.op == opSolve {
+			var ok bool
+			if o.res, ok = e.cache.peek(k); ok {
+				e.met.cacheHits.Add(1)
+				o.st = stateHit
+				continue
+			}
+			if o.res.real, o.bound, ok = e.surrogateLookup(k, maxErr[i]); ok {
+				o.st = stateSurrogate
+				continue
+			}
+		}
+		ent, st := e.cache.getOrStart(*k)
+		o.st = st
 		switch st {
 		case stateHit:
 			e.met.cacheHits.Add(1)
-			out[i].res = ent.res
+			o.res = ent.res
+			continue
 		case stateWait:
 			e.met.cacheCoalesced.Add(1)
-			if pending == nil {
-				pending = make([]*entry, len(keys))
-			}
-			pending[i] = ent
 		default: // stateLead
 			e.met.cacheMisses.Add(1)
-			if pending == nil {
-				pending = make([]*entry, len(keys))
-			}
-			pending[i] = ent
 			leads = append(leads, ent)
 		}
-	}
-	if pending == nil {
-		return
+		if pending == nil {
+			pending = make([]*entry, len(keys))
+		}
+		pending[i] = ent
 	}
 	if len(leads) > 0 {
 		if err := e.submit(task{ents: leads, ctx: ctx, enq: time.Now()}); err != nil {
-			// Admission failed for the whole batch. Complete our entries so
+			// Admission failed for every lead at once. Complete our entries so
 			// strangers coalesced onto them retry; our own positions surface
-			// the admission error through the wait loop below.
+			// the admission error through the wait loop below. Nothing is
+			// cached.
 			for _, ent := range leads {
 				e.cache.complete(ent, result{}, err)
 			}
 		}
 	}
-	for i := range keys {
-		ent := pending[i]
+	for i, ent := range pending {
 		if ent == nil {
 			continue
 		}
-		if out[i].st != stateWait {
-			// Our own lead: its completion error — solver, admission or our
-			// context — is ours to surface. No retry.
-			select {
-			case <-ent.done:
-				out[i].res, out[i].err = ent.res, ent.err
-			case <-ctx.Done():
-				out[i].err = ctx.Err()
-			}
-			continue
-		}
-		// Coalesced onto a stranger's in-flight evaluation: retry on foreign
-		// completion errors, exactly as the single-key path does.
 		select {
 		case <-ent.done:
-			if retryableCompletion(ent.err) && ctx.Err() == nil {
-				out[i].res, out[i].st, out[i].err = e.evalKey(ctx, keys[i])
-			} else {
-				out[i].res, out[i].err = ent.res, ent.err
-			}
 		case <-ctx.Done():
 			out[i].err = ctx.Err()
+			continue
 		}
+		if out[i].st == stateWait && retryableCompletion(ent.err) && ctx.Err() == nil {
+			// The stranger's completion error is foreign to us: resolve this
+			// key again under our own admission.
+			e.evalKeys(ctx, keys[i:i+1], nil, out[i:i+1])
+			continue
+		}
+		// Our own lead's completion error — solver, admission or our context —
+		// is ours to surface, as is a stranger's error that belongs to the key.
+		out[i].res, out[i].err = ent.res, ent.err
 	}
 }
 
@@ -571,25 +528,15 @@ func (e *Evaluator) Solve(ctx context.Context, r ModelRequest) (mms.Metrics, cac
 // request takes the exact path unchanged. The LRU and surrogate tiers run
 // inline and allocation-free.
 func (e *Evaluator) SolveBounded(ctx context.Context, r ModelRequest) (mms.Metrics, float64, cacheState, error) {
-	cfg, pat, geo, solver, err := r.components()
-	if err != nil {
+	var keys [1]Key
+	var err error
+	if keys[0], err = SolveKey(r); err != nil {
 		return mms.Metrics{}, 0, stateLead, err
 	}
-	if err := validateConfig(cfg, pat); err != nil {
-		return mms.Metrics{}, 0, stateLead, err
-	}
-	k := canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
-	if r.MaxError > 0 {
-		if res, ok := e.cache.peek(&k); ok {
-			e.met.cacheHits.Add(1)
-			return res.real, 0, stateHit, nil
-		}
-		if met, bound, ok := e.surrogateLookup(&k, r.MaxError); ok {
-			return met, bound, stateSurrogate, nil
-		}
-	}
-	res, st, err := e.evalKey(ctx, k)
-	return res.real, 0, st, err
+	maxErr := [1]float64{r.MaxError}
+	var out [1]keyOutcome
+	e.evalKeys(ctx, keys[:], maxErr[:], out[:])
+	return out[0].res.real, out[0].bound, out[0].st, out[0].err
 }
 
 // ToleranceOutcome is the resolved product of one tolerance evaluation.
@@ -604,30 +551,25 @@ type ToleranceOutcome struct {
 // Zone classifies the outcome's tolerance index.
 func (o ToleranceOutcome) Zone() tolerance.Zone { return tolerance.Classify(o.Tol) }
 
+// toleranceOutcome assembles the outcome of a tolerance key from its result.
+func toleranceOutcome(k *Key, res result) ToleranceOutcome {
+	return ToleranceOutcome{Subsystem: k.sub, Mode: k.mode, Tol: res.tol, Real: res.real, Ideal: res.ideal}
+}
+
 // Tolerance evaluates a tolerance index (real and ideal system solves share
 // one cache entry under the request's canonical key).
 func (e *Evaluator) Tolerance(ctx context.Context, r ToleranceRequest) (ToleranceOutcome, cacheState, error) {
-	sub, err := parseSubsystem(r.Subsystem)
+	k, err := ToleranceKey(r)
 	if err != nil {
 		return ToleranceOutcome{}, stateLead, err
 	}
-	mode, err := parseMode(r.Mode, sub)
-	if err != nil {
-		return ToleranceOutcome{}, stateLead, err
+	keys := [1]Key{k}
+	var out [1]keyOutcome
+	e.evalKeys(ctx, keys[:], nil, out[:])
+	if out[0].err != nil {
+		return ToleranceOutcome{}, out[0].st, out[0].err
 	}
-	cfg, pat, geo, solver, err := r.components()
-	if err != nil {
-		return ToleranceOutcome{}, stateLead, err
-	}
-	if err := validateConfig(cfg, pat); err != nil {
-		return ToleranceOutcome{}, stateLead, err
-	}
-	k := canonicalKey(cfg, pat, geo, solver, opTolerance, sub, mode)
-	res, st, err := e.evalKey(ctx, k)
-	if err != nil {
-		return ToleranceOutcome{}, st, err
-	}
-	return ToleranceOutcome{Subsystem: sub, Mode: mode, Tol: res.tol, Real: res.real, Ideal: res.ideal}, st, nil
+	return toleranceOutcome(&k, out[0].res), out[0].st, nil
 }
 
 // BatchOutcome is the positional product of one batch item. Err covers the
@@ -645,11 +587,12 @@ type BatchOutcome struct {
 }
 
 // Batch evaluates a positional list of items. Each item's canonical key flows
-// through the cache first — hits and in-flight coalescing are resolved before
-// any solver runs — and all remaining misses are solved as one lockstep batch
-// on a single worker, with continuation seeding between the points. out must
-// have len(items). The returned error is an envelope error (malformed batch
-// as a whole); per-item failures are positional in out.
+// through the three-level lookup first — LRU hits, surrogate answers and
+// in-flight coalescing are resolved before any solver runs — and all
+// remaining misses are solved as one lockstep batch on a single worker, with
+// continuation seeding between the points. out must have len(items). The
+// returned error is an envelope error (malformed batch as a whole); per-item
+// failures are positional in out.
 func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []BatchOutcome) error {
 	if len(out) != len(items) {
 		panic(fmt.Sprintf("serve: Batch: len(out) = %d, want len(items) = %d", len(out), len(items)))
@@ -661,66 +604,34 @@ func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []B
 	e.met.batchItems.Add(uint64(len(items)))
 	keys := make([]Key, len(items))
 	outcomes := make([]keyOutcome, len(items))
-	var preResolved []bool
-	var bounds []float64
+	var maxErr []float64 // nil unless some item states a max_error
 	for i := range items {
 		k, err := items[i].key()
 		if err != nil {
 			out[i] = BatchOutcome{Err: err}
-			continue // keys[i] stays the zero Key; evalKeyBatch skips it
+			continue // keys[i] stays the zero Key; evalKeys skips it
 		}
 		keys[i] = k
-		// Per-item three-level lookup: a solve item stating a MaxError tries
-		// the LRU (without taking leadership) and then the surrogate grid
-		// before joining the lockstep solver batch.
-		if k.op != opSolve || items[i].MaxError <= 0 {
-			continue
-		}
-		if res, ok := e.cache.peek(&k); ok {
-			e.met.cacheHits.Add(1)
-			outcomes[i] = keyOutcome{res: res, st: stateHit}
-		} else if met, bound, ok := e.surrogateLookup(&k, items[i].MaxError); ok {
-			outcomes[i] = keyOutcome{res: result{real: met}, st: stateSurrogate}
-			if bounds == nil {
-				bounds = make([]float64, len(items))
+		if items[i].MaxError > 0 {
+			if maxErr == nil {
+				maxErr = make([]float64, len(items))
 			}
-			bounds[i] = bound
-		} else {
-			continue
+			maxErr[i] = items[i].MaxError
 		}
-		if preResolved == nil {
-			preResolved = make([]bool, len(items))
-		}
-		preResolved[i] = true
-		keys[i] = Key{} // resolved; evalKeyBatch skips it
 	}
-	e.evalKeyBatch(ctx, keys, outcomes)
+	e.evalKeys(ctx, keys, maxErr, outcomes)
 	for i := range items {
-		if preResolved != nil && preResolved[i] {
-			out[i] = BatchOutcome{Cache: outcomes[i].st, Metrics: outcomes[i].res.real}
-			if bounds != nil {
-				out[i].Bound = bounds[i]
-			}
-			continue
-		}
 		if keys[i].op == 0 {
 			continue
 		}
 		o := outcomes[i]
 		out[i] = BatchOutcome{Cache: o.st, Err: o.err}
-		if o.err != nil {
-			continue
-		}
-		if keys[i].op == opTolerance {
-			out[i].Tolerance = ToleranceOutcome{
-				Subsystem: keys[i].sub,
-				Mode:      keys[i].mode,
-				Tol:       o.res.tol,
-				Real:      o.res.real,
-				Ideal:     o.res.ideal,
-			}
-		} else {
-			out[i].Metrics = o.res.real
+		switch {
+		case o.err != nil:
+		case keys[i].op == opTolerance:
+			out[i].Tolerance = toleranceOutcome(&keys[i], o.res)
+		default:
+			out[i].Metrics, out[i].Bound = o.res.real, o.bound
 		}
 	}
 	return nil
@@ -735,8 +646,8 @@ type SweepPoint struct {
 	TolMemory  float64     `json:"tol_memory"`
 }
 
-// Sweep evaluates tolerance indices over a knob range. The grid is routed
-// over the batch path: per-point cache hits are extracted up front, and every
+// Sweep evaluates tolerance indices over a knob range. The grid is one key
+// list through evalKeys: per-point cache hits are extracted up front, and every
 // remaining point (two tolerance keys each: network and memory) is solved as
 // one lockstep batch on a single worker, so the kernel's continuation seeding
 // walks the grid in order. Repeated sweeps hit the cache; under overload the
@@ -776,7 +687,7 @@ func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, er
 		keys[2*i+1] = canonicalKey(pcfg, pat, geo, solver, opTolerance, tolerance.Memory, tolerance.ZeroDelay)
 	}
 	out := make([]keyOutcome, len(keys))
-	e.evalKeyBatch(ctx, keys, out)
+	e.evalKeys(ctx, keys, nil, out)
 	points := make([]SweepPoint, len(values))
 	for i, v := range values {
 		net, mem := out[2*i], out[2*i+1]

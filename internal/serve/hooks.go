@@ -6,7 +6,9 @@ import "lattol/internal/mms"
 // layer can exercise from outside the package: internal/conformance fuzzes
 // the request→Key mapping (FuzzServeKeyCanonical) and needs to build keys,
 // re-canonicalize them and recover the solver configuration a key denotes.
-// The handlers themselves keep using the unexported path.
+// Both key constructors canonicalize their request exactly as a /v1/batch item
+// with the same fields, through the one request→Key function every endpoint
+// uses.
 
 // SolveKey validates a solve request and returns its canonical cache Key —
 // exactly the key POST /v1/solve would look up. Two requests with equal keys
@@ -14,35 +16,13 @@ import "lattol/internal/mms"
 // "equal keys ⇒ identical answers" must hold; the conformance fuzz target
 // asserts it.
 func SolveKey(r ModelRequest) (Key, error) {
-	cfg, pat, geo, solver, err := r.components()
-	if err != nil {
-		return Key{}, err
-	}
-	if err := validateConfig(cfg, pat); err != nil {
-		return Key{}, err
-	}
-	return canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0), nil
+	return r.key("", "", "")
 }
 
 // ToleranceKey validates a tolerance request and returns its canonical cache
 // Key — exactly the key POST /v1/tolerance would look up.
 func ToleranceKey(r ToleranceRequest) (Key, error) {
-	sub, err := parseSubsystem(r.Subsystem)
-	if err != nil {
-		return Key{}, err
-	}
-	mode, err := parseMode(r.Mode, sub)
-	if err != nil {
-		return Key{}, err
-	}
-	cfg, pat, geo, solver, err := r.components()
-	if err != nil {
-		return Key{}, err
-	}
-	if err := validateConfig(cfg, pat); err != nil {
-		return Key{}, err
-	}
-	return canonicalKey(cfg, pat, geo, solver, opTolerance, sub, mode), nil
+	return r.ModelRequest.key("tolerance", r.Subsystem, r.Mode)
 }
 
 // ModelConfig rebuilds the solver configuration the key denotes (defaults

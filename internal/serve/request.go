@@ -97,32 +97,37 @@ type BatchRequest struct {
 }
 
 // key canonicalizes one batch item: operation parse, component parse and
-// configuration validation, yielding the same Key the single-request
-// endpoints would, so batch items share cache lines with /v1/solve and
-// /v1/tolerance traffic.
-func (r BatchItemRequest) key() (Key, error) {
+// configuration validation. It is the only request→Key function — SolveKey
+// and ToleranceKey canonicalize single requests as items — so batch items
+// share cache lines with /v1/solve and /v1/tolerance traffic.
+func (r *BatchItemRequest) key() (Key, error) { return r.ModelRequest.key(r.Op, r.Subsystem, r.Mode) }
+
+// key is BatchItemRequest.key over the item's fields, taken separately so a
+// single request is canonicalized in place rather than copied into an item —
+// the cache-hit path runs this on every request.
+func (r *ModelRequest) key(opName, subsystem, modeName string) (Key, error) {
 	var op opKind
-	switch r.Op {
+	switch opName {
 	case "", "solve":
 		op = opSolve
 	case "tolerance":
 		op = opTolerance
 	default:
-		return Key{}, validate.Fieldf("serve.BatchItemRequest", "op", "= %q, want solve or tolerance", r.Op)
+		return Key{}, validate.Fieldf("serve.BatchItemRequest", "op", "= %q, want solve or tolerance", opName)
 	}
 	var sub tolerance.Subsystem
 	var mode tolerance.IdealMode
 	if op == opTolerance {
 		var err error
-		if sub, err = parseSubsystem(r.Subsystem); err != nil {
+		if sub, err = parseSubsystem(subsystem); err != nil {
 			return Key{}, err
 		}
-		if mode, err = parseMode(r.Mode, sub); err != nil {
+		if mode, err = parseMode(modeName, sub); err != nil {
 			return Key{}, err
 		}
-	} else if r.Subsystem != "" || r.Mode != "" {
+	} else if subsystem != "" || modeName != "" {
 		return Key{}, validate.Fieldf("serve.BatchItemRequest", "op",
-			"= %q with subsystem/mode set; only tolerance items judge a subsystem", r.Op)
+			"= %q with subsystem/mode set; only tolerance items judge a subsystem", opName)
 	}
 	cfg, pat, geo, solver, err := r.components()
 	if err != nil {
@@ -330,7 +335,7 @@ func parseMode(name string, sub tolerance.Subsystem) (tolerance.IdealMode, error
 
 // components parses the request's enum fields and assembles the (not yet
 // validated) solver configuration.
-func (r ModelRequest) components() (cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, err error) {
+func (r *ModelRequest) components() (cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, err error) {
 	// MaxError is not part of the canonical Key (it selects how a result may
 	// be produced, not which result), but it is still client input.
 	if math.IsNaN(r.MaxError) || r.MaxError < 0 || r.MaxError >= 1 {
@@ -375,12 +380,9 @@ func validateConfig(cfg mms.Config, pat patternKind) error {
 }
 
 // Validate reports the first invalid field of the request as a field-named
-// error. It allocates nothing on the success path, keeping cache hits
-// allocation-free end to end.
+// error — the error canonicalizing it as a solve would report. It allocates
+// nothing on the success path, keeping cache hits allocation-free end to end.
 func (r ModelRequest) Validate() error {
-	cfg, pat, _, _, err := r.components()
-	if err != nil {
-		return err
-	}
-	return validateConfig(cfg, pat)
+	_, err := r.key("", "", "")
+	return err
 }

@@ -95,7 +95,8 @@ func TestCanonicalKeyEquivalences(t *testing.T) {
 	})
 
 	t.Run("solve and tolerance ops are disjoint", func(t *testing.T) {
-		cfg, pat, geo, solver, _ := baseRequest().components()
+		r := baseRequest()
+		cfg, pat, geo, solver, _ := r.components()
 		s := canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
 		tol := canonicalKey(cfg, pat, geo, solver, opTolerance, 0, 0)
 		if s == tol {

@@ -259,6 +259,7 @@ func statusFor(err error) int {
 	var fe *validate.FieldError
 	var nce *mva.NonConvergenceError
 	var inf *inverse.InfeasibleError
+	var nf *nonFiniteError
 	switch {
 	case errors.As(err, &fe):
 		return http.StatusBadRequest
@@ -278,12 +279,24 @@ func statusFor(err error) int {
 		// The plan is well-formed but no knob value in the search interval
 		// reaches the target: the question has no answer as posed.
 		return http.StatusUnprocessableEntity
+	case errors.As(err, &nf):
+		// The model is well-formed but its answer does not fit in float64.
+		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError
 	}
 }
 
+// writeJSON encodes body before anything is written, so an unencodable body
+// (encoding/json rejects NaN and ±Inf) becomes a 500 error body instead of a
+// status line followed by nothing.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, body any) {
+	b, err := json.MarshalIndent(body, "", "  ")
+	if err != nil {
+		// An ErrorResponse always encodes, so this recurses at most once.
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: encoding the response: %w", err))
+		return
+	}
 	s.eval.met.countStatus(code)
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -294,9 +307,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, body any) {
 		}
 	}
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {

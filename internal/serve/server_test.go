@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -473,5 +474,76 @@ func TestServerBatchEnvelopeErrors(t *testing.T) {
 	decodeBody(t, resp, &out)
 	if out.Error.Field != "items" {
 		t.Errorf("field = %q, want items", out.Error.Field)
+	}
+}
+
+// TestServerNonFiniteIs422: a valid configuration whose times overflow the
+// solution out of float64 is answered with a 422 error body on every
+// endpoint — never a 200 whose body could not be encoded — and is not cached.
+// A batch reports it positionally without touching its neighbors. The
+// overflowed solve must not leak into the worker's warm start either: the
+// requests solved next on the same single worker still get finite answers.
+func TestServerNonFiniteIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const (
+		huge = `{"k":4,"threads":8,"runlength":10,"memory_time":1e308,"switch_time":10,"p_remote":0.2,"psw":0.5`
+		tiny = `{"k":4,"threads":8,"runlength":1e-300,"memory_time":1e-300,"switch_time":1e-300,"p_remote":0.2,"psw":0.5`
+	)
+	for _, path := range []string{"/v1/solve", "/v1/tolerance"} {
+		// The AMVA solvers report the overflow as non-convergence; exact MVA
+		// returns non-finite metrics. Twice each: errors are not cached.
+		for _, body := range []string{huge + `}`, huge + `,"solver":"full"}`, huge + `,"k":2,"threads":3,"solver":"exact"}`} {
+			for try := 0; try < 2; try++ {
+				resp := postJSON(t, ts.URL+path, body)
+				var out ErrorResponse
+				decodeBody(t, resp, &out)
+				if resp.StatusCode != http.StatusUnprocessableEntity || out.Error.Status != http.StatusUnprocessableEntity || out.Error.Message == "" {
+					t.Errorf("%s %s: status %d, error body %+v, want a 422 error body", path, body, resp.StatusCode, out.Error)
+				}
+			}
+		}
+		for _, body := range []string{tiny + `}`, tiny + `,"solver":"full"}`} {
+			resp := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: status = %d, want 200", path, body, resp.StatusCode)
+			}
+			var out map[string]any
+			decodeBody(t, resp, &out)
+		}
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/batch", `{"items":[`+validBody+`,`+huge+`,"k":2,"threads":3,"solver":"exact"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status = %d, want 200", resp.StatusCode)
+	}
+	var out BatchResponse
+	decodeBody(t, resp, &out)
+	if len(out.Results) != 2 {
+		t.Fatalf("batch: %d results, want 2", len(out.Results))
+	}
+	if out.Results[0].Error != nil || out.Results[0].Solve == nil {
+		t.Errorf("batch item 0 = %+v, want a solve", out.Results[0])
+	}
+	if e := out.Results[1].Error; e == nil || e.Status != http.StatusUnprocessableEntity || !strings.Contains(e.Message, "not finite") {
+		t.Errorf("batch item 1 error = %+v, want a 422 naming the non-finite value", e)
+	}
+}
+
+// TestWriteJSONUnencodable: a body encoding/json rejects becomes a 500 error
+// body, and the status line is not sent before the body is known to encode.
+func TestWriteJSONUnencodable(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	rec := httptest.NewRecorder()
+	srv.writeJSON(rec, http.StatusOK, SolveResponse{Metrics: MetricsBody{Up: math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var out ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("body %q does not decode: %v", rec.Body.String(), err)
+	}
+	if out.Error.Status != http.StatusInternalServerError || out.Error.Message == "" {
+		t.Errorf("error body = %+v, want a 500 with a message", out.Error)
 	}
 }
