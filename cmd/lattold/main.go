@@ -67,14 +67,14 @@ func main() {
 	log.SetPrefix("lattold: ")
 
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 0, "pending-solve queue depth (0 = 8x workers)")
-		cacheN   = flag.Int("cache", 4096, "cached results kept for reuse")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request evaluation budget")
-		drain    = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
-		maxSweep = flag.Int("maxsweep", 1024, "max points per sweep request")
-		maxBatch = flag.Int("maxbatch", 1024, "max items per batch request")
+		addr      = flag.String("addr", ":8080", "listen address")
+		workers   = flag.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "pending-solve queue depth (0 = 8x workers)")
+		cacheN    = flag.Int("cache", 4096, "cached results kept for reuse")
+		timeout   = flag.Duration("timeout", 10*time.Second, "per-request evaluation budget")
+		drain     = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
+		maxSweep  = flag.Int("maxsweep", 1024, "max points per sweep request")
+		maxBatch  = flag.Int("maxbatch", 1024, "max items per batch request")
 		storeDir  = flag.String("store", "", "artifact store directory for the surrogate grid and LRU snapshot (empty = in-memory only)")
 		advertise = flag.String("advertise", "", "this node's URL as peers reach it (required with -peers)")
 		peers     = flag.String("peers", "", "comma-separated peer URLs forming the cluster ring")

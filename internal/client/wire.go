@@ -1,19 +1,19 @@
 package lattolclient
 
-// This file is the client's copy of the lattold wire schema. The structs
-// mirror internal/serve's request and response bodies field for field (same
-// JSON tags, same types); they are duplicated rather than imported because
-// the cluster transport sits between this package and internal/serve —
-// serve routes through internal/cluster, which forwards through this client,
-// so importing serve from here would close an import cycle. The parity is
-// locked by TestWireParity in internal/serve, which round-trips every pair
-// of types through JSON in both directions with unknown fields disallowed.
+// This file is the lattold wire schema: every request and response body the
+// daemon's /v1 endpoints, /healthz and error paths carry. It is the only
+// definition. internal/serve names these types through aliases (serve already
+// imports this package through the cluster transport, so the dependency runs
+// serve → client and never back), which makes the client and the server
+// encode and decode the same structs by construction. JSON encoding follows
+// field order, so reordering fields or changing a tag changes the bytes on
+// the wire.
 
 // ModelRequest is the wire form of one model configuration plus solver
-// choice — the body of POST /v1/solve and the base of the other requests.
-// Zero values of the optional fields select the server-side defaults
-// (geometric pattern, per-distance normalization, single ports, symmetric
-// AMVA).
+// choice — the body of POST /v1/solve and the base of the tolerance, sweep,
+// batch and plan requests. Fields mirror mms.Config; zero values of the
+// optional fields select the usual defaults (geometric pattern, per-distance
+// normalization, single ports, symmetric AMVA).
 type ModelRequest struct {
 	K             int     `json:"k"`
 	Threads       int     `json:"threads"`
@@ -23,35 +23,62 @@ type ModelRequest struct {
 	SwitchTime    float64 `json:"switch_time"`
 	PRemote       float64 `json:"p_remote"`
 	Psw           float64 `json:"psw,omitempty"`
-	Pattern       string  `json:"pattern,omitempty"`
-	GeometricMode string  `json:"geometric_mode,omitempty"`
+	Pattern       string  `json:"pattern,omitempty"`        // "", "geometric" or "uniform"
+	GeometricMode string  `json:"geometric_mode,omitempty"` // "", "per-distance" or "per-node"
 	MemoryPorts   int     `json:"memory_ports,omitempty"`
 	SwitchPorts   int     `json:"switch_ports,omitempty"`
-	Solver        string  `json:"solver,omitempty"`
-	MaxError      float64 `json:"max_error,omitempty"`
+	Solver        string  `json:"solver,omitempty"` // "", "symmetric", "full" or "exact"
+
+	// MaxError, when positive, states the relative error the client will
+	// accept on each reported metric and opts the request into the surrogate
+	// tier: if a precomputed grid certifies an interpolated answer within
+	// MaxError, that answer is served in sub-µs instead of running a solver.
+	// Zero (the default) demands exact solves only. Cached exact results are
+	// always preferred over interpolation. Applies to solve operations;
+	// tolerance evaluations ignore it.
+	MaxError float64 `json:"max_error,omitempty"`
 }
 
-// ToleranceRequest is the body of POST /v1/tolerance.
+// ToleranceRequest is the body of POST /v1/tolerance: a model plus the
+// subsystem whose latency is judged and how the ideal system is derived.
 type ToleranceRequest struct {
 	ModelRequest
 	Subsystem string `json:"subsystem,omitempty"` // "network" (default) or "memory"
 	Mode      string `json:"mode,omitempty"`      // "", "zero-remote" or "zero-delay"
 }
 
-// BatchItemRequest is one element of POST /v1/batch's items.
+// SweepRequest is the body of POST /v1/sweep: a base model, the knob to
+// sweep and the range. Every point is evaluated like one /v1/tolerance
+// request per subsystem, through the same cache and worker pool.
+type SweepRequest struct {
+	ModelRequest
+	Param string  `json:"param"`
+	From  float64 `json:"from"`
+	To    float64 `json:"to"`
+	Steps int     `json:"steps"`
+}
+
+// BatchItemRequest is one element of POST /v1/batch's items: a model plus the
+// operation to perform on it. Subsystem and mode apply to tolerance items
+// only.
 type BatchItemRequest struct {
 	ModelRequest
-	Op        string `json:"op,omitempty"`
-	Subsystem string `json:"subsystem,omitempty"`
+	Op        string `json:"op,omitempty"`        // "" or "solve" (default), or "tolerance"
+	Subsystem string `json:"subsystem,omitempty"` // as in ToleranceRequest
 	Mode      string `json:"mode,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/batch.
+// BatchRequest is the body of POST /v1/batch: a positional list of
+// independent evaluations answered in one round trip. Item failures are
+// positional — they never fail the batch.
 type BatchRequest struct {
 	Items []BatchItemRequest `json:"items"`
 }
 
-// PlanFrontierRequest selects frontier mode on a plan request.
+// PlanFrontierRequest selects frontier mode on a plan: re-solve the inverse
+// problem at every value of a second swept parameter, tracing the
+// feasibility frontier (e.g. "threads needed for tolerance ≥ 0.95, as
+// p_remote grows").
 type PlanFrontierRequest struct {
 	Param string  `json:"param"`
 	From  float64 `json:"from"`
@@ -59,18 +86,36 @@ type PlanFrontierRequest struct {
 	Steps int     `json:"steps"`
 }
 
-// PlanRequest is the body of POST /v1/plan.
+// PlanRequest is the body of POST /v1/plan: a base model plus the inverse
+// question "find the extremal knob value such that metric relation target".
+// The embedded model is the configuration every probe starts from; the knob
+// overwrites one of its fields per probe. Probes run through the same cache
+// and worker pool as forward requests, so plans share results with solve and
+// tolerance traffic (and with each other).
 type PlanRequest struct {
 	ModelRequest
-	Knob     string               `json:"knob"`
-	Metric   string               `json:"metric"`
-	Target   float64              `json:"target"`
-	Relation string               `json:"relation,omitempty"`
-	KnobMin  float64              `json:"knob_min,omitempty"`
-	KnobMax  float64              `json:"knob_max,omitempty"`
-	KnobTol  float64              `json:"knob_tol,omitempty"`
-	MaxProbes int                 `json:"max_probes,omitempty"`
-	Trace    bool                 `json:"trace,omitempty"`
+	// Knob is the parameter solved for: nt, r, l, s, c, premote, psw, k,
+	// memports or swports.
+	Knob string `json:"knob"`
+	// Metric is the targeted measure: u_p, tol_network, tol_memory, s_obs,
+	// l_obs, lambda_net or cycle_time.
+	Metric string `json:"metric"`
+	// Target is the metric value to reach.
+	Target float64 `json:"target"`
+	// Relation compares metric to target: ">=" (default) or "<=".
+	Relation string `json:"relation,omitempty"`
+	// KnobMin, KnobMax bound the search; both zero selects the knob's
+	// default domain.
+	KnobMin float64 `json:"knob_min,omitempty"`
+	KnobMax float64 `json:"knob_max,omitempty"`
+	// KnobTol is the relative bracket width at which a continuous knob is
+	// converged (default 1e-6; integer knobs converge at width 1).
+	KnobTol float64 `json:"knob_tol,omitempty"`
+	// MaxProbes caps evaluator calls per plan (default 64).
+	MaxProbes int `json:"max_probes,omitempty"`
+	// Trace requests the probe-by-probe trace in the response.
+	Trace bool `json:"trace,omitempty"`
+	// Frontier, when present, selects frontier mode.
 	Frontier *PlanFrontierRequest `json:"frontier,omitempty"`
 }
 
@@ -88,17 +133,20 @@ type MetricsBody struct {
 	Iterations     int     `json:"iterations"`
 }
 
-// SolveResponse is the body of a successful POST /v1/solve. Cache is not a
-// wire field: it is filled from the X-Lattold-Cache response header and
-// reports how the serving tier satisfied the request (hit, miss, coalesced,
-// surrogate).
+// SolveResponse is the body of a successful POST /v1/solve. ErrorBound is
+// present on interpolated (surrogate-tier) answers: the certified relative
+// error bound of every reported metric, at most the request's max_error.
+// Exact answers omit it. Cache is not a wire field: the client fills it from
+// the X-Lattold-Cache response header, and it reports how the serving tier
+// satisfied the request (hit, miss, coalesced, surrogate).
 type SolveResponse struct {
 	Metrics    MetricsBody `json:"metrics"`
 	ErrorBound float64     `json:"error_bound,omitempty"`
 	Cache      string      `json:"-"`
 }
 
-// ToleranceResponse is the body of a successful POST /v1/tolerance.
+// ToleranceResponse is the body of a successful POST /v1/tolerance. Cache is
+// filled from the response header, as in SolveResponse.
 type ToleranceResponse struct {
 	Subsystem string      `json:"subsystem"`
 	Mode      string      `json:"mode"`
@@ -109,7 +157,24 @@ type ToleranceResponse struct {
 	Cache     string      `json:"-"`
 }
 
-// BatchItemResponse is the positional outcome of one batch item.
+// SweepPoint is one evaluated point of a sweep: the paper's measures plus
+// both tolerance indices at that knob setting.
+type SweepPoint struct {
+	Value      float64     `json:"value"`
+	Metrics    MetricsBody `json:"metrics"`
+	TolNetwork float64     `json:"tol_network"`
+	TolMemory  float64     `json:"tol_memory"`
+}
+
+// SweepResponse is the body of a successful POST /v1/sweep.
+type SweepResponse struct {
+	Param  string       `json:"param"`
+	Points []SweepPoint `json:"points"`
+}
+
+// BatchItemResponse is the positional outcome of one batch item. Exactly one
+// of Error, Solve and Tolerance is set; Cache accompanies the successful
+// outcomes.
 type BatchItemResponse struct {
 	Error     *ErrorBody         `json:"error,omitempty"`
 	Cache     string             `json:"cache,omitempty"`
@@ -117,12 +182,14 @@ type BatchItemResponse struct {
 	Tolerance *ToleranceResponse `json:"tolerance,omitempty"`
 }
 
-// BatchResponse is the body of POST /v1/batch.
+// BatchResponse is the body of POST /v1/batch. The envelope is 200 whenever
+// the batch itself was well-formed; item failures are reported positionally
+// with the same status codes their single-request endpoints would return.
 type BatchResponse struct {
 	Results []BatchItemResponse `json:"results"`
 }
 
-// PlanProbe is one probe-trace entry of a plan response.
+// PlanProbe is the wire form of one probe-trace entry.
 type PlanProbe struct {
 	Knob     float64 `json:"knob"`
 	Value    float64 `json:"value"`
@@ -130,7 +197,10 @@ type PlanProbe struct {
 	Solves   int     `json:"solves"`
 }
 
-// PlanResponse is the body of a successful POST /v1/plan (scalar mode).
+// PlanResponse is the body of a successful POST /v1/plan (scalar mode) and
+// the per-point payload of frontier mode. Value is the answer; Achieved is
+// the metric observed there; Probes counts evaluator calls and Solves the
+// model solves they actually ran (0 when every probe hit the cache).
 type PlanResponse struct {
 	Knob       string      `json:"knob"`
 	Metric     string      `json:"metric"`
@@ -150,9 +220,24 @@ type PlanResponse struct {
 	Trace      []PlanProbe `json:"trace,omitempty"`
 }
 
+// PlanFrontierPoint is one swept point of a frontier response. Exactly one
+// of Error and Plan is set.
+type PlanFrontierPoint struct {
+	Sweep float64       `json:"sweep"`
+	Error *ErrorBody    `json:"error,omitempty"`
+	Plan  *PlanResponse `json:"plan,omitempty"`
+}
+
+// PlanFrontierResponse is the body of POST /v1/plan in frontier mode.
+type PlanFrontierResponse struct {
+	Param  string              `json:"param"`
+	Knob   string              `json:"knob"`
+	Points []PlanFrontierPoint `json:"points"`
+}
+
 // HealthResponse is the body of GET /healthz.
 type HealthResponse struct {
-	Status        string  `json:"status"`
+	Status        string  `json:"status"` // "ok" or "draining"
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 

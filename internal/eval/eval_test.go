@@ -9,6 +9,8 @@ import (
 	"lattol/internal/tolerance"
 )
 
+var _ BatchEvaluator = (*Solver)(nil)
+
 func relErr(got, want float64) float64 {
 	if got == want {
 		return 0

@@ -65,12 +65,12 @@ type planner struct {
 type phase int
 
 const (
-	phaseNear phase = iota // directed: least-feasible endpoint
-	phaseExpand            // directed: seeds + geometric ladder toward e1
-	phaseLo                // undirected: low endpoint
-	phaseHi                // undirected: high endpoint
-	phaseSeed              // undirected: seeds inside the bracket
-	phaseRefine            // both: false position / bisection
+	phaseNear   phase = iota // directed: least-feasible endpoint
+	phaseExpand              // directed: seeds + geometric ladder toward e1
+	phaseLo                  // undirected: low endpoint
+	phaseHi                  // undirected: high endpoint
+	phaseSeed                // undirected: seeds inside the bracket
+	phaseRefine              // both: false position / bisection
 )
 
 // newPlanner validates the spec and primes the first probe.

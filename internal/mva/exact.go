@@ -60,6 +60,18 @@ func ExactMultiClass(net *queueing.Network, maxStates int) (*Result, error) {
 	return ws.ExactMultiClass(net, maxStates)
 }
 
+// StateSpaceError reports that an exact solve's population lattice has more
+// states than its cap allows: the network is valid but too large for the
+// exact recursion (an approximate solver can still answer it).
+type StateSpaceError struct {
+	// MaxStates is the cap the lattice exceeded.
+	MaxStates int
+}
+
+func (e *StateSpaceError) Error() string {
+	return fmt.Sprintf("mva: exact state space exceeds %d states", e.MaxStates)
+}
+
 // ExactMultiClass runs the exact MVA recursion using the workspace's
 // buffers: the population lattice is walked as an iterative DP with a
 // mixed-radix odometer (no per-state index decoding), and every buffer —
@@ -86,7 +98,7 @@ func (ws *Workspace) ExactMultiClass(net *queueing.Network, maxStates int) (*Res
 	for c, cl := range net.Classes {
 		radix[c] = cl.Population + 1
 		if states > maxStates/radix[c] {
-			return nil, fmt.Errorf("mva: exact state space exceeds %d states", maxStates)
+			return nil, &StateSpaceError{MaxStates: maxStates}
 		}
 		stride[c] = states // index delta for one customer of class c
 		states *= radix[c]

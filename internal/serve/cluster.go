@@ -126,7 +126,7 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, req BatchReq
 	var parts map[string]*part
 	remote := 0
 	for i := range req.Items {
-		k, err := req.Items[i].key()
+		k, err := itemKey(&req.Items[i])
 		if err != nil {
 			continue
 		}

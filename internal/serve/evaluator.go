@@ -606,7 +606,7 @@ func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []B
 	outcomes := make([]keyOutcome, len(items))
 	var maxErr []float64 // nil unless some item states a max_error
 	for i := range items {
-		k, err := items[i].key()
+		k, err := itemKey(&items[i])
 		if err != nil {
 			out[i] = BatchOutcome{Err: err}
 			continue // keys[i] stays the zero Key; evalKeys skips it
@@ -637,15 +637,6 @@ func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []B
 	return nil
 }
 
-// SweepPoint is one evaluated point of a sweep: the paper's measures plus
-// both tolerance indices at that knob setting.
-type SweepPoint struct {
-	Value      float64     `json:"value"`
-	Metrics    MetricsBody `json:"metrics"`
-	TolNetwork float64     `json:"tol_network"`
-	TolMemory  float64     `json:"tol_memory"`
-}
-
 // Sweep evaluates tolerance indices over a knob range. The grid is one key
 // list through evalKeys: per-point cache hits are extracted up front, and every
 // remaining point (two tolerance keys each: network and memory) is solved as
@@ -667,7 +658,7 @@ func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, er
 	if math.IsNaN(r.To) || math.IsInf(r.To, 0) {
 		return nil, validate.Fieldf("serve.SweepRequest", "to", "= %v, want finite", r.To)
 	}
-	cfg, pat, geo, solver, err := r.components()
+	cfg, pat, geo, solver, err := components(&r.ModelRequest)
 	if err != nil {
 		return nil, err
 	}

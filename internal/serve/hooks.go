@@ -16,13 +16,13 @@ import "lattol/internal/mms"
 // "equal keys ⇒ identical answers" must hold; the conformance fuzz target
 // asserts it.
 func SolveKey(r ModelRequest) (Key, error) {
-	return r.key("", "", "")
+	return modelKey(&r, "", "", "")
 }
 
 // ToleranceKey validates a tolerance request and returns its canonical cache
 // Key — exactly the key POST /v1/tolerance would look up.
 func ToleranceKey(r ToleranceRequest) (Key, error) {
-	return r.ModelRequest.key("tolerance", r.Subsystem, r.Mode)
+	return modelKey(&r.ModelRequest, "tolerance", r.Subsystem, r.Mode)
 }
 
 // ModelConfig rebuilds the solver configuration the key denotes (defaults

@@ -10,54 +10,10 @@ import (
 	"lattol/internal/validate"
 )
 
-// PlanFrontierRequest selects frontier mode on a plan: re-solve the inverse
-// problem at every value of a second swept parameter, tracing the
-// feasibility frontier (e.g. "threads needed for tolerance ≥ 0.95, as
-// p_remote grows").
-type PlanFrontierRequest struct {
-	Param string  `json:"param"`
-	From  float64 `json:"from"`
-	To    float64 `json:"to"`
-	Steps int     `json:"steps"`
-}
-
-// PlanRequest is the body of POST /v1/plan: a base model plus the inverse
-// question "find the extremal knob value such that metric relation target".
-// The embedded model is the configuration every probe starts from; the knob
-// overwrites one of its fields per probe. Probes run through the same cache
-// and worker pool as forward requests, so plans share results with solve and
-// tolerance traffic (and with each other).
-type PlanRequest struct {
-	ModelRequest
-	// Knob is the parameter solved for: nt, r, l, s, c, premote, psw, k,
-	// memports or swports.
-	Knob string `json:"knob"`
-	// Metric is the targeted measure: u_p, tol_network, tol_memory, s_obs,
-	// l_obs, lambda_net or cycle_time.
-	Metric string `json:"metric"`
-	// Target is the metric value to reach.
-	Target float64 `json:"target"`
-	// Relation compares metric to target: ">=" (default) or "<=".
-	Relation string `json:"relation,omitempty"`
-	// KnobMin, KnobMax bound the search; both zero selects the knob's
-	// default domain.
-	KnobMin float64 `json:"knob_min,omitempty"`
-	KnobMax float64 `json:"knob_max,omitempty"`
-	// KnobTol is the relative bracket width at which a continuous knob is
-	// converged (default 1e-6; integer knobs converge at width 1).
-	KnobTol float64 `json:"knob_tol,omitempty"`
-	// MaxProbes caps evaluator calls per plan (default 64).
-	MaxProbes int `json:"max_probes,omitempty"`
-	// Trace requests the probe-by-probe trace in the response.
-	Trace bool `json:"trace,omitempty"`
-	// Frontier, when present, selects frontier mode.
-	Frontier *PlanFrontierRequest `json:"frontier,omitempty"`
-}
-
-// spec canonicalizes the request into an inverse.Spec plus the serving
+// planSpec canonicalizes the request into an inverse.Spec plus the serving
 // pattern kind. Validation errors are field-named against the wire fields.
-func (r PlanRequest) spec() (inverse.Spec, patternKind, error) {
-	cfg, pat, _, solver, err := r.components()
+func planSpec(r *PlanRequest) (inverse.Spec, patternKind, error) {
+	cfg, pat, _, solver, err := components(&r.ModelRequest)
 	if err != nil {
 		return inverse.Spec{}, 0, err
 	}
@@ -108,9 +64,9 @@ func (r PlanRequest) spec() (inverse.Spec, patternKind, error) {
 	}, pat, nil
 }
 
-// frontierSpec extends spec with the swept second parameter.
-func (r PlanRequest) frontierSpec() (inverse.FrontierSpec, patternKind, error) {
-	sp, pat, err := r.spec()
+// frontierSpec extends planSpec with the swept second parameter.
+func frontierSpec(r *PlanRequest) (inverse.FrontierSpec, patternKind, error) {
+	sp, pat, err := planSpec(r)
 	if err != nil {
 		return inverse.FrontierSpec{}, 0, err
 	}
@@ -140,7 +96,7 @@ func (e *Evaluator) maxPlanFrontierSteps() int { return e.cfg.MaxSweepPoints }
 // Plan answers one inverse question through the cache and worker pool. The
 // per-plan probe count is recorded in the metrics' probe histogram.
 func (e *Evaluator) Plan(ctx context.Context, r PlanRequest) (inverse.Result, error) {
-	sp, pat, err := r.spec()
+	sp, pat, err := planSpec(&r)
 	if err != nil {
 		return inverse.Result{}, err
 	}
@@ -161,7 +117,7 @@ func (e *Evaluator) Plan(ctx context.Context, r PlanRequest) (inverse.Result, er
 // pool. Points fail independently (e.g. an infeasible sweep value carries
 // *inverse.InfeasibleError); the returned error is an envelope error.
 func (e *Evaluator) PlanFrontier(ctx context.Context, r PlanRequest) ([]inverse.FrontierPoint, error) {
-	fs, pat, err := r.frontierSpec()
+	fs, pat, err := frontierSpec(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -185,52 +141,6 @@ func (e *Evaluator) PlanFrontier(ctx context.Context, r PlanRequest) ([]inverse.
 		}
 	}
 	return pts, nil
-}
-
-// PlanProbe is the wire form of one probe-trace entry.
-type PlanProbe struct {
-	Knob     float64 `json:"knob"`
-	Value    float64 `json:"value"`
-	Feasible bool    `json:"feasible"`
-	Solves   int     `json:"solves"`
-}
-
-// PlanResponse is the body of a successful POST /v1/plan (scalar mode) and
-// the per-point payload of frontier mode. Value is the answer; Achieved is
-// the metric observed there; Probes counts evaluator calls and Solves the
-// model solves they actually ran (0 when every probe hit the cache).
-type PlanResponse struct {
-	Knob       string      `json:"knob"`
-	Metric     string      `json:"metric"`
-	Relation   string      `json:"relation"`
-	Target     float64     `json:"target"`
-	Value      float64     `json:"value"`
-	Achieved   float64     `json:"achieved"`
-	Objective  string      `json:"objective"`
-	Binding    string      `json:"binding"`
-	BracketLo  float64     `json:"bracket_lo"`
-	BracketHi  float64     `json:"bracket_hi"`
-	Probes     int         `json:"probes"`
-	Solves     int         `json:"solves"`
-	Metrics    MetricsBody `json:"metrics"`
-	TolNetwork *float64    `json:"tol_network,omitempty"`
-	TolMemory  *float64    `json:"tol_memory,omitempty"`
-	Trace      []PlanProbe `json:"trace,omitempty"`
-}
-
-// PlanFrontierPoint is one swept point of a frontier response. Exactly one
-// of Error and Plan is set.
-type PlanFrontierPoint struct {
-	Sweep float64       `json:"sweep"`
-	Error *ErrorBody    `json:"error,omitempty"`
-	Plan  *PlanResponse `json:"plan,omitempty"`
-}
-
-// PlanFrontierResponse is the body of POST /v1/plan in frontier mode.
-type PlanFrontierResponse struct {
-	Param  string              `json:"param"`
-	Knob   string              `json:"knob"`
-	Points []PlanFrontierPoint `json:"points"`
 }
 
 // planResponse renders one inverse result.

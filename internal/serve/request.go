@@ -24,88 +24,52 @@ import (
 	"math"
 
 	"lattol/internal/access"
+	lattolclient "lattol/internal/client"
 	"lattol/internal/mms"
 	"lattol/internal/tolerance"
 	"lattol/internal/topology"
 	"lattol/internal/validate"
 )
 
-// ModelRequest is the wire form of one model configuration plus solver
-// choice — the body of POST /v1/solve and the base of the tolerance and
-// sweep requests. Fields mirror mms.Config; zero values of the optional
-// fields select the usual defaults (geometric pattern, per-distance
-// normalization, single ports, symmetric AMVA).
-type ModelRequest struct {
-	K             int     `json:"k"`
-	Threads       int     `json:"threads"`
-	Runlength     float64 `json:"runlength"`
-	ContextSwitch float64 `json:"context_switch,omitempty"`
-	MemoryTime    float64 `json:"memory_time"`
-	SwitchTime    float64 `json:"switch_time"`
-	PRemote       float64 `json:"p_remote"`
-	Psw           float64 `json:"psw,omitempty"`
-	Pattern       string  `json:"pattern,omitempty"`        // "", "geometric" or "uniform"
-	GeometricMode string  `json:"geometric_mode,omitempty"` // "", "per-distance" or "per-node"
-	MemoryPorts   int     `json:"memory_ports,omitempty"`
-	SwitchPorts   int     `json:"switch_ports,omitempty"`
-	Solver        string  `json:"solver,omitempty"` // "", "symmetric", "full" or "exact"
+// The wire schema is defined once, in internal/client; serve names its types
+// here so handlers, tests and callers keep writing serve.ModelRequest and the
+// like. Field docs live on the definitions.
+type (
+	ModelRequest         = lattolclient.ModelRequest
+	ToleranceRequest     = lattolclient.ToleranceRequest
+	SweepRequest         = lattolclient.SweepRequest
+	BatchItemRequest     = lattolclient.BatchItemRequest
+	BatchRequest         = lattolclient.BatchRequest
+	PlanFrontierRequest  = lattolclient.PlanFrontierRequest
+	PlanRequest          = lattolclient.PlanRequest
+	MetricsBody          = lattolclient.MetricsBody
+	SolveResponse        = lattolclient.SolveResponse
+	ToleranceResponse    = lattolclient.ToleranceResponse
+	SweepPoint           = lattolclient.SweepPoint
+	SweepResponse        = lattolclient.SweepResponse
+	BatchItemResponse    = lattolclient.BatchItemResponse
+	BatchResponse        = lattolclient.BatchResponse
+	PlanProbe            = lattolclient.PlanProbe
+	PlanResponse         = lattolclient.PlanResponse
+	PlanFrontierPoint    = lattolclient.PlanFrontierPoint
+	PlanFrontierResponse = lattolclient.PlanFrontierResponse
+	HealthResponse       = lattolclient.HealthResponse
+	ErrorBody            = lattolclient.ErrorBody
+	ErrorResponse        = lattolclient.ErrorResponse
+)
 
-	// MaxError, when positive, states the relative error the client will
-	// accept on each reported metric and opts the request into the surrogate
-	// tier: if a precomputed grid certifies an interpolated answer within
-	// MaxError, that answer is served in sub-µs instead of running a solver.
-	// Zero (the default) demands exact solves only. Cached exact results are
-	// always preferred over interpolation. Applies to solve operations;
-	// tolerance evaluations ignore it.
-	MaxError float64 `json:"max_error,omitempty"`
+// itemKey canonicalizes one batch item: operation parse, component parse and
+// configuration validation. modelKey behind it is the only request→Key
+// function (SolveKey and ToleranceKey canonicalize single requests as items),
+// so batch items share cache lines with /v1/solve and /v1/tolerance traffic.
+func itemKey(r *BatchItemRequest) (Key, error) {
+	return modelKey(&r.ModelRequest, r.Op, r.Subsystem, r.Mode)
 }
 
-// ToleranceRequest is the body of POST /v1/tolerance: a model plus the
-// subsystem whose latency is judged and how the ideal system is derived.
-type ToleranceRequest struct {
-	ModelRequest
-	Subsystem string `json:"subsystem,omitempty"` // "network" (default) or "memory"
-	Mode      string `json:"mode,omitempty"`      // "", "zero-remote" or "zero-delay"
-}
-
-// SweepRequest is the body of POST /v1/sweep: a base model, the knob to
-// sweep and the range. Every point is evaluated like one /v1/tolerance
-// request per subsystem, through the same cache and worker pool.
-type SweepRequest struct {
-	ModelRequest
-	Param string  `json:"param"`
-	From  float64 `json:"from"`
-	To    float64 `json:"to"`
-	Steps int     `json:"steps"`
-}
-
-// BatchItemRequest is one element of POST /v1/batch's items: a model plus the
-// operation to perform on it. Subsystem and mode apply to tolerance items
-// only.
-type BatchItemRequest struct {
-	ModelRequest
-	Op        string `json:"op,omitempty"`        // "" or "solve" (default), or "tolerance"
-	Subsystem string `json:"subsystem,omitempty"` // as in ToleranceRequest
-	Mode      string `json:"mode,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch: a positional list of
-// independent evaluations answered in one round trip. Item failures are
-// positional — they never fail the batch.
-type BatchRequest struct {
-	Items []BatchItemRequest `json:"items"`
-}
-
-// key canonicalizes one batch item: operation parse, component parse and
-// configuration validation. It is the only request→Key function — SolveKey
-// and ToleranceKey canonicalize single requests as items — so batch items
-// share cache lines with /v1/solve and /v1/tolerance traffic.
-func (r *BatchItemRequest) key() (Key, error) { return r.ModelRequest.key(r.Op, r.Subsystem, r.Mode) }
-
-// key is BatchItemRequest.key over the item's fields, taken separately so a
-// single request is canonicalized in place rather than copied into an item —
-// the cache-hit path runs this on every request.
-func (r *ModelRequest) key(opName, subsystem, modeName string) (Key, error) {
+// modelKey is itemKey over the item's fields, taken separately so a single
+// request is canonicalized in place rather than copied into an item — the
+// cache-hit path runs this on every request.
+func modelKey(r *ModelRequest, opName, subsystem, modeName string) (Key, error) {
 	var op opKind
 	switch opName {
 	case "", "solve":
@@ -129,7 +93,7 @@ func (r *ModelRequest) key(opName, subsystem, modeName string) (Key, error) {
 		return Key{}, validate.Fieldf("serve.BatchItemRequest", "op",
 			"= %q with subsystem/mode set; only tolerance items judge a subsystem", opName)
 	}
-	cfg, pat, geo, solver, err := r.components()
+	cfg, pat, geo, solver, err := components(r)
 	if err != nil {
 		return Key{}, err
 	}
@@ -335,7 +299,7 @@ func parseMode(name string, sub tolerance.Subsystem) (tolerance.IdealMode, error
 
 // components parses the request's enum fields and assembles the (not yet
 // validated) solver configuration.
-func (r *ModelRequest) components() (cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, err error) {
+func components(r *ModelRequest) (cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, err error) {
 	// MaxError is not part of the canonical Key (it selects how a result may
 	// be produced, not which result), but it is still client input.
 	if math.IsNaN(r.MaxError) || r.MaxError < 0 || r.MaxError >= 1 {
@@ -377,12 +341,4 @@ func validateConfig(cfg mms.Config, pat patternKind) error {
 		cfg.Psw = 1
 	}
 	return cfg.Validate()
-}
-
-// Validate reports the first invalid field of the request as a field-named
-// error — the error canonicalizing it as a solve would report. It allocates
-// nothing on the success path, keeping cache hits allocation-free end to end.
-func (r ModelRequest) Validate() error {
-	_, err := r.key("", "", "")
-	return err
 }

@@ -19,7 +19,7 @@ func baseRequest() ModelRequest {
 // validation error.
 func mustKey(t *testing.T, r ModelRequest) Key {
 	t.Helper()
-	cfg, pat, geo, solver, err := r.components()
+	cfg, pat, geo, solver, err := components(&r)
 	if err != nil {
 		t.Fatalf("components(%+v): %v", r, err)
 	}
@@ -96,7 +96,7 @@ func TestCanonicalKeyEquivalences(t *testing.T) {
 
 	t.Run("solve and tolerance ops are disjoint", func(t *testing.T) {
 		r := baseRequest()
-		cfg, pat, geo, solver, _ := r.components()
+		cfg, pat, geo, solver, _ := components(&r)
 		s := canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
 		tol := canonicalKey(cfg, pat, geo, solver, opTolerance, 0, 0)
 		if s == tol {
@@ -124,7 +124,7 @@ func TestRequestValidateFieldNames(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := baseRequest()
 			tc.mutate(&r)
-			err := r.Validate()
+			_, err := SolveKey(r)
 			if err == nil {
 				t.Fatal("invalid request validated")
 			}
@@ -138,7 +138,7 @@ func TestRequestValidateFieldNames(t *testing.T) {
 func TestUniformPatternValidatesWithoutPsw(t *testing.T) {
 	r := baseRequest()
 	r.Pattern, r.Psw = "uniform", 0
-	if err := r.Validate(); err != nil {
+	if _, err := SolveKey(r); err != nil {
 		t.Errorf("uniform request without psw rejected: %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestUniformPatternValidatesWithoutPsw(t *testing.T) {
 func TestKeyConfigRoundTrip(t *testing.T) {
 	r := baseRequest()
 	r.Pattern = "uniform"
-	cfg, pat, geo, solver, err := r.components()
+	cfg, pat, geo, solver, err := components(&r)
 	if err != nil {
 		t.Fatal(err)
 	}

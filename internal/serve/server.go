@@ -18,20 +18,6 @@ import (
 	"lattol/internal/validate"
 )
 
-// MetricsBody is the wire form of the paper's performance measures.
-type MetricsBody struct {
-	Up             float64 `json:"u_p"`
-	LambdaProc     float64 `json:"lambda"`
-	LambdaNet      float64 `json:"lambda_net"`
-	SObs           float64 `json:"s_obs"`
-	LObs           float64 `json:"l_obs"`
-	CycleTime      float64 `json:"cycle_time"`
-	MemUtilization float64 `json:"mem_utilization"`
-	OutUtilization float64 `json:"out_utilization"`
-	InUtilization  float64 `json:"in_utilization"`
-	Iterations     int     `json:"iterations"`
-}
-
 func metricsBody(m mms.Metrics) MetricsBody {
 	return MetricsBody{
 		Up:             m.Up,
@@ -45,67 +31,6 @@ func metricsBody(m mms.Metrics) MetricsBody {
 		InUtilization:  m.InUtilization,
 		Iterations:     m.Iterations,
 	}
-}
-
-// SolveResponse is the body of a successful POST /v1/solve. ErrorBound is
-// present on interpolated (surrogate-tier) answers: the certified relative
-// error bound of every reported metric, at most the request's max_error.
-// Exact answers omit it.
-type SolveResponse struct {
-	Metrics    MetricsBody `json:"metrics"`
-	ErrorBound float64     `json:"error_bound,omitempty"`
-}
-
-// ToleranceResponse is the body of a successful POST /v1/tolerance.
-type ToleranceResponse struct {
-	Subsystem string      `json:"subsystem"`
-	Mode      string      `json:"mode"`
-	Tol       float64     `json:"tol"`
-	Zone      string      `json:"zone"`
-	Real      MetricsBody `json:"real"`
-	Ideal     MetricsBody `json:"ideal"`
-}
-
-// SweepResponse is the body of a successful POST /v1/sweep.
-type SweepResponse struct {
-	Param  string       `json:"param"`
-	Points []SweepPoint `json:"points"`
-}
-
-// BatchItemResponse is the positional outcome of one batch item. Exactly one
-// of Error, Solve and Tolerance is set; Cache accompanies the successful
-// outcomes.
-type BatchItemResponse struct {
-	Error     *ErrorBody         `json:"error,omitempty"`
-	Cache     string             `json:"cache,omitempty"`
-	Solve     *SolveResponse     `json:"solve,omitempty"`
-	Tolerance *ToleranceResponse `json:"tolerance,omitempty"`
-}
-
-// BatchResponse is the body of POST /v1/batch. The envelope is 200 whenever
-// the batch itself was well-formed; item failures are reported positionally
-// with the same status codes their single-request endpoints would return.
-type BatchResponse struct {
-	Results []BatchItemResponse `json:"results"`
-}
-
-// ErrorBody names what went wrong; Field is present for validation failures
-// and holds the wire name of the offending request field.
-type ErrorBody struct {
-	Status  int    `json:"status"`
-	Message string `json:"message"`
-	Field   string `json:"field,omitempty"`
-}
-
-// ErrorResponse is the body of every non-2xx response.
-type ErrorResponse struct {
-	Error ErrorBody `json:"error"`
-}
-
-// HealthResponse is the body of GET /healthz.
-type HealthResponse struct {
-	Status        string  `json:"status"` // "ok" or "draining"
-	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 // goToWireField maps Go field names of the validated structs to their wire
@@ -260,6 +185,7 @@ func statusFor(err error) int {
 	var nce *mva.NonConvergenceError
 	var inf *inverse.InfeasibleError
 	var nf *nonFiniteError
+	var sse *mva.StateSpaceError
 	switch {
 	case errors.As(err, &fe):
 		return http.StatusBadRequest
@@ -281,6 +207,9 @@ func statusFor(err error) int {
 		return http.StatusUnprocessableEntity
 	case errors.As(err, &nf):
 		// The model is well-formed but its answer does not fit in float64.
+		return http.StatusUnprocessableEntity
+	case errors.As(err, &sse):
+		// The model is well-formed but too large for the exact solver.
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusInternalServerError

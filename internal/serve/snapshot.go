@@ -153,7 +153,9 @@ func (r *snapReader) metrics() mms.Metrics {
 // discarded — the daemon always comes up, at worst cold. Every restored key
 // must survive re-canonicalization bit-for-bit; records that don't are
 // dropped, because a key the current code would canonicalize differently
-// could serve a wrong cache line.
+// could serve a wrong cache line. Records holding a non-finite result are
+// dropped too: a fresh evaluation never caches one (it fails with 422), and
+// JSON cannot carry it, so a restored one would answer 500 on every hit.
 func (e *Evaluator) RestoreCache(s *surrogate.Store, logf func(format string, args ...any)) int {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -218,7 +220,7 @@ func (e *Evaluator) RestoreCache(s *surrogate.Store, logf func(format string, ar
 		if r.err != nil {
 			break
 		}
-		if (k.op != opSolve && k.op != opTolerance) || k.Recanonicalized() != k {
+		if (k.op != opSolve && k.op != opTolerance) || k.Recanonicalized() != k || finiteErr(res) != nil {
 			dropped++
 			continue
 		}
@@ -233,7 +235,7 @@ func (e *Evaluator) RestoreCache(s *surrogate.Store, logf func(format string, ar
 		return 0
 	}
 	if dropped > 0 {
-		logf("serve: cache snapshot: dropped %d records that no longer re-canonicalize", dropped)
+		logf("serve: cache snapshot: dropped %d records that no longer re-canonicalize or hold non-finite results", dropped)
 	}
 	restored := 0
 	for _, rec := range records {

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"lattol/internal/mms"
 	"lattol/internal/surrogate"
 )
 
@@ -249,5 +253,52 @@ func TestRestartAgainstPersistedGridServesFirstRequestFromSurrogate(t *testing.T
 	}
 	if !(bound > 0) || met.Up <= 0 {
 		t.Errorf("first request (bound %v, Up %v)", bound, met.Up)
+	}
+}
+
+func TestRestoreDropsNonFiniteRecords(t *testing.T) {
+	// A snapshot written before non-finite results were rejected can hold a
+	// NaN entry. Restoring it would make every hit on that key a 500 (JSON
+	// cannot carry NaN), so restore drops it and the key solves afresh.
+	store := newSnapStore(t)
+	nanReq, finiteReq := baseRequest(), baseRequest()
+	nanReq.Threads, finiteReq.Threads = 2, 4
+	nanKey, err := SolveKey(nanReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finiteKey, err := SolveKey(finiteReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewEvaluator(Config{Workers: 1})
+	a.cache.insert(nanKey, result{real: mms.Metrics{Up: math.NaN(), CycleTime: math.NaN()}})
+	a.cache.insert(finiteKey, result{real: mms.Metrics{Up: 0.5, CycleTime: 20}})
+	if n, err := a.SnapshotCache(store); err != nil || n != 2 {
+		t.Fatalf("SnapshotCache = %d, %v; want 2 entries", n, err)
+	}
+	a.Close()
+
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	var logs []string
+	if n := srv.Evaluator().RestoreCache(store, func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }); n != 1 {
+		t.Fatalf("restored %d entries, want 1 (logs: %q)", n, logs)
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], "dropped 1 records") {
+		t.Errorf("logs = %q, want one dropped-records line", logs)
+	}
+	body, err := json.Marshal(nanReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/solve", string(body))
+	var out SolveResponse
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Lattold-Cache") != "miss" {
+		t.Fatalf("solve of the dropped key: status %d, cache %q; want 200 miss",
+			resp.StatusCode, resp.Header.Get("X-Lattold-Cache"))
+	}
+	if !(out.Metrics.Up > 0 && out.Metrics.Up <= 1) {
+		t.Errorf("solve of the dropped key: u_p = %v", out.Metrics.Up)
 	}
 }
