@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -640,12 +641,9 @@ func BenchmarkBatchVsLooped(b *testing.B) {
 	})
 }
 
-// BenchmarkServeBatchCached measures the daemon's all-hit batch path: 16
-// items canonicalized, looked up and copied out of the cache with the solver
-// never running after the priming call.
-func BenchmarkServeBatchCached(b *testing.B) {
-	eval := serve.NewEvaluator(serve.Config{})
-	defer eval.Close()
+// cachedBatchItems is the 16-item batch of the cached-batch benchmarks: ten
+// solves over threads 1–10 and six tolerance items.
+func cachedBatchItems() []serve.BatchItemRequest {
 	items := make([]serve.BatchItemRequest, 16)
 	for i := range items {
 		items[i] = serve.BatchItemRequest{ModelRequest: serve.ModelRequest{
@@ -656,6 +654,16 @@ func BenchmarkServeBatchCached(b *testing.B) {
 			items[i].Op = "tolerance"
 		}
 	}
+	return items
+}
+
+// BenchmarkServeBatchCached measures the daemon's all-hit batch path: 16
+// items canonicalized, looked up and copied out of the cache with the solver
+// never running after the priming call.
+func BenchmarkServeBatchCached(b *testing.B) {
+	eval := serve.NewEvaluator(serve.Config{})
+	defer eval.Close()
+	items := cachedBatchItems()
 	out := make([]serve.BatchOutcome, len(items))
 	ctx := context.Background()
 	if err := eval.Batch(ctx, items, out); err != nil {
@@ -672,6 +680,109 @@ func BenchmarkServeBatchCached(b *testing.B) {
 		if err := eval.Batch(ctx, items, out); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---- HTTP boundary and response encoding ---------------------------------
+
+// benchPost runs one POST through h in process and fails the benchmark on a
+// non-200 answer.
+func benchPost(b *testing.B, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body.Bytes())
+	}
+	return rec
+}
+
+// benchModelJSON is the Table 1 default configuration as a request body
+// fragment.
+const benchModelJSON = `"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5`
+
+// BenchmarkWireEncode measures the reflection-free response encoder on the
+// bodies lattold actually writes: each shape is answered once by a real
+// server, decoded into its wire type, then re-encoded into a reused buffer.
+// The steady state must allocate nothing. batch32 and sweep18 are the
+// bulk-plan workload's batch and sweep sizes; plan is its thread-count plan.
+func BenchmarkWireEncode(b *testing.B) {
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	var items bytes.Buffer
+	for i := 0; i < 32; i++ {
+		if i > 0 {
+			items.WriteByte(',')
+		}
+		op := ""
+		if i%2 == 1 {
+			op = `,"op":"tolerance"`
+		}
+		fmt.Fprintf(&items, `{"k":4,"threads":%d,"runlength":%d,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5%s}`, 1+i%8, 5+i, op)
+	}
+	shapes := []struct {
+		name, path, body string
+		dst              interface {
+			AppendJSON([]byte) ([]byte, error)
+		}
+	}{
+		{"solve", "/v1/solve", `{` + benchModelJSON + `}`, new(lattolclient.SolveResponse)},
+		{"tolerance", "/v1/tolerance", `{` + benchModelJSON + `}`, new(lattolclient.ToleranceResponse)},
+		{"batch32", "/v1/batch", `{"items":[` + items.String() + `]}`, new(lattolclient.BatchResponse)},
+		{"sweep18", "/v1/sweep", `{` + benchModelJSON + `,"param":"premote","from":0.05,"to":0.9,"steps":18}`, new(lattolclient.SweepResponse)},
+		{"plan", "/v1/plan", `{` + benchModelJSON + `,"knob":"nt","metric":"tol_network","target":0.9}`, new(lattolclient.PlanResponse)},
+	}
+	for _, sh := range shapes {
+		rec := benchPost(b, h, sh.path, []byte(sh.body))
+		if err := json.Unmarshal(rec.Body.Bytes(), sh.dst); err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 0, 2*rec.Body.Len())
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(rec.Body.Len()))
+			for i := 0; i < b.N; i++ {
+				out, err := sh.dst.AppendJSON(buf[:0])
+				benchErr(b, err)
+				buf = out
+			}
+		})
+	}
+}
+
+// BenchmarkServeHTTPSolveCached measures a cache-hit /v1/solve through
+// Server.Handler() in process: body read, strict decode, canonicalization,
+// LRU hit and response encoding, without a socket. Its delta to
+// BenchmarkServeSolveCached is the HTTP and wire layer.
+func BenchmarkServeHTTPSolveCached(b *testing.B) {
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	body := []byte(`{` + benchModelJSON + `}`)
+	benchPost(b, h, "/v1/solve", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, h, "/v1/solve", body)
+	}
+}
+
+// BenchmarkServeHTTPBatchCached is BenchmarkServeBatchCached's 16-item all-hit
+// batch through Server.Handler() in process; its delta to that benchmark is
+// the HTTP and wire layer for a several-KB body.
+func BenchmarkServeHTTPBatchCached(b *testing.B) {
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(serve.BatchRequest{Items: cachedBatchItems()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPost(b, h, "/v1/batch", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPost(b, h, "/v1/batch", body)
 	}
 }
 

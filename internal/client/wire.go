@@ -7,7 +7,10 @@ package lattolclient
 // serve → client and never back), which makes the client and the server
 // encode and decode the same structs by construction. JSON encoding follows
 // field order, so reordering fields or changing a tag changes the bytes on
-// the wire.
+// the wire. The daemon encodes responses with the reflection-free encoders
+// in wirejson.go, which reproduce json.MarshalIndent byte for byte: a field
+// added or changed here needs the matching line there, and the conformance
+// oracle (TestWireEncodeEveryField) fails until it has it.
 
 // ModelRequest is the wire form of one model configuration plus solver
 // choice — the body of POST /v1/solve and the base of the tolerance, sweep,

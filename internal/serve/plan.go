@@ -50,7 +50,7 @@ func planSpec(r *PlanRequest) (inverse.Spec, patternKind, error) {
 	if err != nil {
 		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "relation", "= %q, want >= or <=", r.Relation)
 	}
-	return inverse.Spec{
+	sp := inverse.Spec{
 		Base:      cfg,
 		Solver:    solver,
 		Knob:      knob,
@@ -61,7 +61,20 @@ func planSpec(r *PlanRequest) (inverse.Spec, patternKind, error) {
 		Hi:        r.KnobMax,
 		KnobTol:   r.KnobTol,
 		MaxProbes: r.MaxProbes,
-	}, pat, nil
+	}
+	// Probes skip request validation, so a knob that sizes the model keeps
+	// its search below the wire's model-size cap: the default domain is
+	// narrowed to it, an explicit bound beyond it is rejected.
+	if c := knobCap(knob); c > 0 {
+		if lo, hi := sp.Bracket(); hi > c {
+			if r.KnobMin != 0 || r.KnobMax != 0 {
+				return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "knob_max",
+					"= %v, want <= %v for knob %s (the model-size cap)", r.KnobMax, c, knob)
+			}
+			sp.Lo, sp.Hi = lo, c
+		}
+	}
+	return sp, pat, nil
 }
 
 // frontierSpec extends planSpec with the swept second parameter.
@@ -82,6 +95,16 @@ func frontierSpec(r *PlanRequest) (inverse.FrontierSpec, patternKind, error) {
 			"= %q, want one of %s", f.Param, strings.Join(mms.ParamNames(), ", "))
 	}
 	fs.Sweep = sweep
+	if c := knobCap(sweep); c > 0 {
+		if f.From > c {
+			return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.from",
+				"= %v, want <= %v for param %s (the model-size cap)", f.From, c, sweep)
+		}
+		if f.To > c {
+			return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.to",
+				"= %v, want <= %v for param %s (the model-size cap)", f.To, c, sweep)
+		}
+	}
 	if pat == patternUniform && sweep.String() == "psw" {
 		return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.param",
 			"= psw under the uniform pattern; psw has no effect there")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -108,6 +109,9 @@ func TestServerPlanValidation400s(t *testing.T) {
 		{"frontier missing param", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"","from":0.1,"to":0.2,"steps":2}`, 1), "frontier.param"},
 		{"frontier equals knob", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"nt","from":1,"to":2,"steps":2}`, 1), "frontier.param"},
 		{"frontier zero steps", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"premote","from":0.1,"to":0.2,"steps":0}`, 1), "frontier.steps"},
+		{"knob_max past the k cap", strings.Replace(planBody, `"knob":"nt"`, `"knob":"k","knob_min":2,"knob_max":20`, 1), "knob_max"},
+		{"frontier past the k cap", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"k","from":2,"to":32,"steps":2}`, 1), "frontier.to"},
+		{"frontier past the threads cap", strings.Replace(planBody, `"knob":"nt"`, `"knob":"r","frontier":{"param":"nt","from":20000,"to":8,"steps":2}`, 1), "frontier.from"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +125,35 @@ func TestServerPlanValidation400s(t *testing.T) {
 				t.Errorf("error.field = %q (%s), want %q", out.Error.Field, out.Error.Message, tc.field)
 			}
 		})
+	}
+}
+
+// TestServerPlanKnobCap runs a k plan over the knob's default domain [1,32],
+// which reaches past the wire's model-size cap, and expects the search to
+// stop at the cap: no probe solves a larger model. With no remote accesses
+// u_p does not depend on k, so the target is unreachable and both bracket
+// ends are probed.
+func TestServerPlanKnobCap(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	var maxK atomic.Int64
+	srv.Evaluator().solveHook = func(k Key) {
+		for {
+			m := maxK.Load()
+			if int64(k.k) <= m || maxK.CompareAndSwap(m, int64(k.k)) {
+				return
+			}
+		}
+	}
+	body := `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0,` +
+		`"knob":"k","metric":"u_p","target":0.01,"relation":"<="}`
+	resp := postJSON(t, ts.URL+"/v1/plan", body)
+	var out ErrorResponse
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d (%s), want 422", resp.StatusCode, out.Error.Message)
+	}
+	if got := maxK.Load(); got != maxWireK {
+		t.Errorf("largest solved k = %d, want the cap %d", got, maxWireK)
 	}
 }
 

@@ -331,14 +331,52 @@ func components(r *ModelRequest) (cfg mms.Config, pat patternKind, geo access.Ge
 	return
 }
 
+// Model-size caps on the wire. A solve runs to completion on its worker
+// even after its request times out, so the largest model a request may name
+// bounds how long one request can hold a worker and how much memory it
+// takes. The worst case is the full AMVA solver, whose cost grows with the
+// k² per-node classes: at k = 16 one tolerance evaluation (two solves) took
+// 0.2–0.36 s and 38 MB on a 2-vCPU Xeon, against 2.7 s and 490 MB for a
+// single solve at k = 32 and the 10 s default SolveTimeout. AMVA cost does
+// not depend on the thread count (flat from 8 to 10⁶ threads) and exact MVA
+// has its own state-space limit; the thread cap is the top of the planner's
+// nt search domain, so every default-domain plan probe is a servable model.
+// The caps are serve-side only: mms.Config and the CLIs accept larger models.
+const (
+	maxWireK       = 16
+	maxWireThreads = 16384
+)
+
 // validateConfig checks a configuration without constructing its access
-// pattern. The uniform pattern has no locality parameter, so Psw is checked
-// only when the geometric pattern would actually be built; a placeholder
-// value stands in during validation (Key canonicalization zeroes psw for
-// uniform requests, so the placeholder never leaks into a cache key).
+// pattern, then applies the wire's model-size caps. The uniform pattern has
+// no locality parameter, so Psw is checked only when the geometric pattern
+// would actually be built; a placeholder value stands in during validation
+// (Key canonicalization zeroes psw for uniform requests, so the placeholder
+// never leaks into a cache key).
 func validateConfig(cfg mms.Config, pat patternKind) error {
 	if pat == patternUniform {
 		cfg.Psw = 1
 	}
-	return cfg.Validate()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.K > maxWireK {
+		return validate.Fieldf("serve.ModelRequest", "K", "= %d, want <= %d (the model-size cap)", cfg.K, maxWireK)
+	}
+	if cfg.Threads > maxWireThreads {
+		return validate.Fieldf("serve.ModelRequest", "Threads", "= %d, want <= %d (the model-size cap)", cfg.Threads, maxWireThreads)
+	}
+	return nil
+}
+
+// knobCap returns the model-size cap on a plan knob or frontier parameter,
+// or 0 when the knob does not size the model.
+func knobCap(p mms.Param) float64 {
+	switch p.String() {
+	case "k":
+		return maxWireK
+	case "nt":
+		return maxWireThreads
+	}
+	return 0
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"lattol/internal/cluster"
@@ -216,16 +217,38 @@ func statusFor(err error) int {
 	}
 }
 
+// wireBody is a response body that encodes itself: every response type of
+// the wire schema appends the bytes json.MarshalIndent(body, "", "  ") would
+// produce, without reflection (internal/client/wirejson.go).
+type wireBody interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// wireBufs recycles response buffers across requests. Buffers that grew past
+// maxPooledWire (a large sweep or frontier) are left to the collector rather
+// than pinned in the pool.
+var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxPooledWire = 64 << 10
+
 // writeJSON encodes body before anything is written, so an unencodable body
-// (encoding/json rejects NaN and ±Inf) becomes a 500 error body instead of a
+// (NaN and ±Inf have no JSON form) becomes a 500 error body instead of a
 // status line followed by nothing.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, body any) {
-	b, err := json.MarshalIndent(body, "", "  ")
+func (s *Server) writeJSON(w http.ResponseWriter, code int, body wireBody) {
+	bp := wireBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledWire {
+			wireBufs.Put(bp)
+		}
+	}()
+	b, err := body.AppendJSON((*bp)[:0])
 	if err != nil {
 		// An ErrorResponse always encodes, so this recurses at most once.
 		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("serve: encoding the response: %w", err))
 		return
 	}
+	b = append(b, '\n')
+	*bp = b
 	s.eval.met.countStatus(code)
 	w.Header().Set("Content-Type", "application/json")
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -236,7 +259,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, body any) {
 		}
 	}
 	w.WriteHeader(code)
-	_, _ = w.Write(append(b, '\n'))
+	_, _ = w.Write(b)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {

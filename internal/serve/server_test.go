@@ -142,6 +142,9 @@ func TestServerGolden400s(t *testing.T) {
 		{"memory with zero-remote", "/v1/tolerance", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"subsystem":"memory","mode":"zero-remote"}`, "mode"},
 		{"bad sweep param", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"param":"bogus","from":1,"to":2,"steps":2}`, "param"},
 		{"zero sweep steps", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"param":"nt","from":1,"to":2,"steps":0}`, "steps"},
+		{"k over the size cap", "/v1/solve", `{"k":17,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5}`, "k"},
+		{"threads over the size cap", "/v1/tolerance", `{"k":4,"threads":16385,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5}`, "threads"},
+		{"sweep past the k cap", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5,"param":"k","from":8,"to":24,"steps":3}`, "k"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -545,5 +548,10 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 	if out.Error.Status != http.StatusInternalServerError || out.Error.Message == "" {
 		t.Errorf("error body = %+v, want a 500 with a message", out.Error)
+	}
+	// The message carries encoding/json's own error text; clients may match
+	// on it.
+	if want := "serve: encoding the response: json: unsupported value: NaN"; out.Error.Message != want {
+		t.Errorf("error message = %q, want %q", out.Error.Message, want)
 	}
 }

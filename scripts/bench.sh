@@ -25,6 +25,15 @@
 #
 #   bash scripts/bench.sh 5 'ClusterForwardHit|ClientHedged' .
 #
+# HTTP-boundary and encoding benchmarks: BenchmarkServeHTTPSolveCached and
+# BenchmarkServeHTTPBatchCached (the ServeSolveCached / ServeBatchCached cache
+# hits driven through Server.Handler() in process — their delta to those is
+# the HTTP and wire layer) and BenchmarkWireEncode/{solve,tolerance,batch32,
+# sweep18,plan} (the reflection-free response encoder on bodies the server
+# wrote; 0 allocs/op in steady state). Focused run:
+#
+#   bash scripts/bench.sh 5 'ServeHTTP|WireEncode' .
+#
 # Replication-path benchmarks: BenchmarkReplicateSingle (one reset-and-replay
 # replication through a reused Replicator, per engine), BenchmarkReplicate
 # (the parallel runner at 1 vs 8 workers on a fixed 16-replication budget —
