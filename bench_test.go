@@ -700,17 +700,11 @@ func benchPost(b *testing.B, h http.Handler, path string, body []byte) *httptest
 // fragment.
 const benchModelJSON = `"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5`
 
-// BenchmarkWireEncode measures the reflection-free response encoder on the
-// bodies lattold actually writes: each shape is answered once by a real
-// server, decoded into its wire type, then re-encoded into a reused buffer.
-// The steady state must allocate nothing. batch32 and sweep18 are the
-// bulk-plan workload's batch and sweep sizes; plan is its thread-count plan.
-func BenchmarkWireEncode(b *testing.B) {
-	srv := serve.NewServer(serve.Config{})
-	defer srv.Close()
-	h := srv.Handler()
+// benchBatchBody is a /v1/batch body of n distinct items, every other one a
+// tolerance evaluation, as the bulk-plan workload sends them.
+func benchBatchBody(n int) string {
 	var items bytes.Buffer
-	for i := 0; i < 32; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			items.WriteByte(',')
 		}
@@ -720,6 +714,18 @@ func BenchmarkWireEncode(b *testing.B) {
 		}
 		fmt.Fprintf(&items, `{"k":4,"threads":%d,"runlength":%d,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5%s}`, 1+i%8, 5+i, op)
 	}
+	return `{"items":[` + items.String() + `]}`
+}
+
+// BenchmarkWireEncode measures the reflection-free response encoder on the
+// bodies lattold actually writes: each shape is answered once by a real
+// server, decoded into its wire type, then re-encoded into a reused buffer.
+// The steady state must allocate nothing. batch32 and sweep18 are the
+// bulk-plan workload's batch and sweep sizes; plan is its thread-count plan.
+func BenchmarkWireEncode(b *testing.B) {
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
 	shapes := []struct {
 		name, path, body string
 		dst              interface {
@@ -728,7 +734,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	}{
 		{"solve", "/v1/solve", `{` + benchModelJSON + `}`, new(lattolclient.SolveResponse)},
 		{"tolerance", "/v1/tolerance", `{` + benchModelJSON + `}`, new(lattolclient.ToleranceResponse)},
-		{"batch32", "/v1/batch", `{"items":[` + items.String() + `]}`, new(lattolclient.BatchResponse)},
+		{"batch32", "/v1/batch", benchBatchBody(32), new(lattolclient.BatchResponse)},
 		{"sweep18", "/v1/sweep", `{` + benchModelJSON + `,"param":"premote","from":0.05,"to":0.9,"steps":18}`, new(lattolclient.SweepResponse)},
 		{"plan", "/v1/plan", `{` + benchModelJSON + `,"knob":"nt","metric":"tol_network","target":0.9}`, new(lattolclient.PlanResponse)},
 	}
@@ -745,6 +751,53 @@ func BenchmarkWireEncode(b *testing.B) {
 				out, err := sh.dst.AppendJSON(buf[:0])
 				benchErr(b, err)
 				buf = out
+			}
+		})
+	}
+}
+
+// BenchmarkWireDecode measures the reflection-free request decoder
+// (ParseWire, sub-benchmark parse) beside the encoding/json decode it
+// replaces (json) on the same bodies: the strict decoder lattold ran on
+// requests, and json.Unmarshal for batchresp6, the answer to a 6-item
+// sub-batch that a cluster peer relays back to the batch router.
+func BenchmarkWireDecode(b *testing.B) {
+	srv := serve.NewServer(serve.Config{})
+	defer srv.Close()
+	answer := benchPost(b, srv.Handler(), "/v1/batch", []byte(benchBatchBody(6))).Body.Bytes()
+	shapes := []struct {
+		name string
+		body []byte
+		dst  func() lattolclient.WireParser
+	}{
+		{"solve", []byte(`{` + benchModelJSON + `}`), func() lattolclient.WireParser { return new(lattolclient.ModelRequest) }},
+		{"plan", []byte(`{` + benchModelJSON + `,"knob":"nt","metric":"tol_network","target":0.9}`), func() lattolclient.WireParser { return new(lattolclient.PlanRequest) }},
+		{"sweep", []byte(`{` + benchModelJSON + `,"param":"premote","from":0.05,"to":0.9,"steps":18}`), func() lattolclient.WireParser { return new(lattolclient.SweepRequest) }},
+		{"batch32", []byte(benchBatchBody(32)), func() lattolclient.WireParser { return new(lattolclient.BatchRequest) }},
+		{"batchresp6", answer, func() lattolclient.WireParser { return new(lattolclient.BatchResponse) }},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name+"/parse", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(sh.body)))
+			for i := 0; i < b.N; i++ {
+				if !sh.dst().ParseWire(sh.body) {
+					b.Fatalf("ParseWire declined %s", sh.body)
+				}
+			}
+		})
+		b.Run(sh.name+"/json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(sh.body)))
+			for i := 0; i < b.N; i++ {
+				dst := sh.dst()
+				if _, answer := dst.(*lattolclient.BatchResponse); answer {
+					benchErr(b, json.Unmarshal(sh.body, dst))
+					continue
+				}
+				dec := json.NewDecoder(bytes.NewReader(sh.body))
+				dec.DisallowUnknownFields()
+				benchErr(b, dec.Decode(dst))
 			}
 		})
 	}

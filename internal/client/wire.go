@@ -10,7 +10,9 @@ package lattolclient
 // the wire. The daemon encodes responses with the reflection-free encoders
 // in wirejson.go, which reproduce json.MarshalIndent byte for byte: a field
 // added or changed here needs the matching line there, and the conformance
-// oracle (TestWireEncodeEveryField) fails until it has it.
+// oracle (TestWireEncodeEveryField) fails until it has it. A field of a type
+// with ParseWire (the requests and BatchResponse with its nested types) also
+// needs its decode line in wiredecode.go (TestWireDecodeEveryField).
 
 // ModelRequest is the wire form of one model configuration plus solver
 // choice — the body of POST /v1/solve and the base of the tolerance, sweep,

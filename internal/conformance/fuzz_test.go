@@ -399,14 +399,15 @@ func FuzzServeHTTP(f *testing.F) {
 }
 
 // decodeWire decodes exactly one JSON value into dst, rejecting unknown
-// fields and trailing data — the strictness the server applies to requests.
+// fields and any non-whitespace byte after the value — the strictness the
+// server applies to requests.
 func decodeWire(b []byte, dst any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("trailing data after the JSON value")
 	}
 	return nil

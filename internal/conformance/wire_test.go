@@ -160,8 +160,8 @@ func FuzzWireEncode(f *testing.F) {
 }
 
 // fillWire sets every field reachable from v to a distinct non-zero value:
-// pointers allocated, slices given two elements, strings that need escaping.
-func fillWire(v reflect.Value, seq *int) {
+// pointers allocated, slices given two elements, strings from str.
+func fillWire(v reflect.Value, seq *int, str func(seq int) string) {
 	*seq++
 	switch v.Kind() {
 	case reflect.Float64:
@@ -169,20 +169,20 @@ func fillWire(v reflect.Value, seq *int) {
 	case reflect.Int:
 		v.SetInt(int64(*seq))
 	case reflect.String:
-		v.SetString(fmt.Sprintf("s%d<&>", *seq))
+		v.SetString(str(*seq))
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
-		fillWire(v.Elem(), seq)
+		fillWire(v.Elem(), seq, str)
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
-			fillWire(v.Index(i), seq)
+			fillWire(v.Index(i), seq, str)
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			fillWire(v.Field(i), seq)
+			fillWire(v.Field(i), seq, str)
 		}
 	default:
 		panic(fmt.Sprintf("fillWire: no filler for %s", v.Type()))
@@ -204,7 +204,9 @@ func TestWireEncodeEveryField(t *testing.T) {
 		&lattolclient.ErrorResponse{},
 	} {
 		seq := 0
-		fillWire(reflect.ValueOf(v).Elem(), &seq)
+		fillWire(reflect.ValueOf(v).Elem(), &seq, func(seq int) string {
+			return fmt.Sprintf("s%d<&>", seq) // needs escaping
+		})
 		checkWireEncode(t, v)
 		// And the zero value: every omitempty field dropped, nil slices null.
 		reflect.ValueOf(v).Elem().SetZero()

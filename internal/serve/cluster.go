@@ -161,8 +161,11 @@ func (s *Server) routeBatch(w http.ResponseWriter, r *http.Request, req BatchReq
 			s.eval.met.peerFallback.Add(1)
 			continue
 		}
+		// Peers answer in AppendJSON's canonical form, which the fast path
+		// decodes; encoding/json is the fallback for anything else.
 		var br BatchResponse
-		if json.Unmarshal(resp.Body, &br) != nil || len(br.Results) != len(p.items) {
+		decoded := br.ParseWire(resp.Body) || json.Unmarshal(resp.Body, &br) == nil
+		if !decoded || len(br.Results) != len(p.items) {
 			s.eval.met.peerFallback.Add(1)
 			continue
 		}

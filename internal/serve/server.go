@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	lattolclient "lattol/internal/client"
 	"lattol/internal/cluster"
 	"lattol/internal/inverse"
 	"lattol/internal/mms"
@@ -158,14 +159,19 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // decodeStrict decodes one JSON object from raw bytes: unknown fields and
-// trailing data are errors.
+// any non-whitespace byte after the object are errors. The fast path decodes
+// canonical bodies; encoding/json decodes what it declines and writes every
+// error message a 400 carries.
 func decodeStrict(body []byte, dst any) error {
+	if p, ok := dst.(lattolclient.WireParser); ok && p.ParseWire(body) {
+		return nil
+	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if dec.More() {
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return errors.New("invalid JSON body: trailing data after the request object")
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -133,6 +134,8 @@ func TestServerGolden400s(t *testing.T) {
 	}{
 		{"malformed JSON", "/v1/solve", `{"k":4,`, ""},
 		{"trailing data", "/v1/solve", validBody + `{"k":2}`, ""},
+		{"trailing brackets", "/v1/solve", validBody + `]]]garbage`, ""},
+		{"trailing brace after a batch", "/v1/batch", `{"items":[` + validBody + `]}}`, ""},
 		{"unknown field", "/v1/solve", `{"k":4,"bogus":1}`, ""},
 		{"wrong type", "/v1/solve", `{"k":"four"}`, ""},
 		{"zero k", "/v1/solve", `{"k":0,"threads":8,"runlength":10,"memory_time":10,"switch_time":10}`, "k"},
@@ -162,6 +165,80 @@ func TestServerGolden400s(t *testing.T) {
 			}
 			if out.Error.Field != tc.wantField {
 				t.Errorf("error.field = %q, want %q (message: %s)", out.Error.Field, tc.wantField, out.Error.Message)
+			}
+		})
+	}
+}
+
+// referenceDecode is decodeStrict without its fast path: encoding/json
+// alone, which writes every decode error a 400 carries.
+func referenceDecode(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("invalid JSON body: trailing data after the request object")
+	}
+	return nil
+}
+
+// TestDecodeMatchesReference sends bodies outside ParseWire's canonical
+// subset, and a few inside it, through Server.Handler() and demands the
+// outcome encoding/json alone gives. A body the reference rejects must come
+// back as the 400 of that error, byte for byte. A body it decodes must be
+// answered exactly as a twin server answers the value's canonical
+// json.Marshal encoding. The servers have one worker each and see the same
+// sequence of solves, so warm starts, and the iteration counts in their
+// answers, agree.
+func TestDecodeMatchesReference(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	twin := NewServer(Config{Workers: 1})
+	defer twin.Close()
+	const model = `"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5`
+	cases := []struct {
+		name, path, body string
+		dst              any
+	}{
+		{"case-folded key", "/v1/solve", `{"K":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5}`, new(ModelRequest)},
+		{"duplicate items", "/v1/batch", `{"items":[{` + model + `}],"items":[{"k":5,"op":"tolerance"}]}`, new(BatchRequest)},
+		{"null", "/v1/tolerance", `{` + model + `,"max_error":null,"mode":null}`, new(ToleranceRequest)},
+		{"fraction into an int", "/v1/solve", `{"k":4.0,"threads":8}`, new(ModelRequest)},
+		{"float out of range", "/v1/solve", `{` + model + `,"max_error":1e400}`, new(ModelRequest)},
+		{"leading zero", "/v1/sweep", `{` + model + `,"param":"nt","from":1,"to":4,"steps":01}`, new(SweepRequest)},
+		{"plus sign", "/v1/solve", `{"k":+1}`, new(ModelRequest)},
+		{"bare fraction", "/v1/solve", `{` + model + `,"max_error":.5}`, new(ModelRequest)},
+		{"hex", "/v1/solve", `{"k":0x10}`, new(ModelRequest)},
+		{"NaN", "/v1/plan", `{` + model + `,"knob":"nt","metric":"u_p","target":NaN}`, new(PlanRequest)},
+		{"escaped string", "/v1/batch", `{"items":[{` + model + `,"op":"\u0074olerance"}]}`, new(BatchRequest)},
+		{"invalid UTF-8", "/v1/solve", `{` + model + ",\"solver\":\"full\xff\"}", new(ModelRequest)},
+		{"tab and CR whitespace", "/v1/plan", "{\t\"k\":4,\r\n\"threads\":8,\"runlength\":10,\"memory_time\":10,\"switch_time\":10,\t\"p_remote\":0.2,\"psw\":0.5,\"knob\":\"nt\",\"metric\":\"u_p\",\"target\":0.5,\"trace\":true}\r\n", new(PlanRequest)},
+		{"unknown key after parsed fields", "/v1/solve", `{` + model + `,"solver":"full","bogus":1}`, new(ModelRequest)},
+		{"trailing brackets", "/v1/solve", `{` + model + `}]]]garbage`, new(ModelRequest)},
+		{"trailing brace", "/v1/batch", `{"items":[{` + model + `}]}}`, new(BatchRequest)},
+	}
+	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := post(srv.Handler(), tc.path, tc.body)
+			want := httptest.NewRecorder()
+			if err := referenceDecode([]byte(tc.body), tc.dst); err != nil {
+				srv.writeError(want, http.StatusBadRequest, err)
+			} else {
+				canonical, err := json.Marshal(tc.dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = post(twin.Handler(), tc.path, string(canonical))
+			}
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("POST %s %q:\n got %d %s\nwant %d %s", tc.path, tc.body, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
 			}
 		})
 	}

@@ -34,6 +34,13 @@
 #
 #   bash scripts/bench.sh 5 'ServeHTTP|WireEncode' .
 #
+# Request decoding: BenchmarkWireDecode/{solve,plan,sweep,batch32,batchresp6}
+# runs each body twice, through ParseWire (…/parse, the reflection-free
+# decoder) and through the encoding/json decode it replaces (…/json);
+# batchresp6 is a peer's answer to a 6-item sub-batch. Focused run:
+#
+#   bash scripts/bench.sh 5 'WireDecode|ServeHTTPBatch' .
+#
 # Replication-path benchmarks: BenchmarkReplicateSingle (one reset-and-replay
 # replication through a reused Replicator, per engine), BenchmarkReplicate
 # (the parallel runner at 1 vs 8 workers on a fixed 16-replication budget —
