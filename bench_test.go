@@ -490,6 +490,17 @@ func BenchmarkBuildModelK10(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildModelK4 elaborates the Table 1 default system, the size
+// every lattold workload solves.
+func BenchmarkBuildModelK4(b *testing.B) {
+	cfg := mms.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := mms.Build(cfg)
+		benchErr(b, err)
+	}
+}
+
 // BenchmarkServeSolveCached measures the daemon's cache-hit path: request
 // canonicalization, shard lookup and LRU touch, with the solver never running
 // after the priming call. The whole path must stay allocation-free.
@@ -639,6 +650,39 @@ func BenchmarkBatchVsLooped(b *testing.B) {
 		}
 		reportPointsPerSec(b, points)
 	})
+}
+
+// BenchmarkSolveBatchSweepItems solves the items of an 18-point p_remote
+// /v1/sweep as lattold's worker submits them: per point a network and a
+// memory tolerance key, each the real system followed by its ideal, as
+// Config items on one reused workspace. The 72 items hold 37 distinct
+// systems over 19 distinct geometries, so the time includes elaboration and
+// the batch's sharing as well as the kernel.
+func BenchmarkSolveBatchSweepItems(b *testing.B) {
+	knob, err := mms.ParseParam("premote")
+	benchErr(b, err)
+	var items []mms.BatchItem
+	for _, v := range knob.Grid(0.05, 0.9, 18) {
+		cfg := mms.DefaultConfig()
+		knob.Apply(&cfg, v)
+		for _, ideal := range []struct {
+			sub  tolerance.Subsystem
+			mode tolerance.IdealMode
+		}{{tolerance.Network, tolerance.ZeroRemote}, {tolerance.Memory, tolerance.ZeroDelay}} {
+			icfg, err := tolerance.IdealConfig(cfg, ideal.sub, ideal.mode)
+			benchErr(b, err)
+			items = append(items, mms.BatchItem{Config: cfg}, mms.BatchItem{Config: icfg})
+		}
+	}
+	dst := make([]mms.BatchResult, len(items))
+	opts := mms.SolveOptions{Workspace: new(mms.Workspace)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mms.SolveBatchInto(dst, items, opts)
+		benchErr(b, dst[0].Err)
+	}
+	reportPointsPerSec(b, float64(len(items)))
 }
 
 // cachedBatchItems is the 16-item batch of the cached-batch benchmarks: ten

@@ -69,7 +69,8 @@ type serveWant struct {
 // one Batch. Evaluator a answers the single requests first (every one a miss,
 // each warm-starting from the last on the worker) and then the batch (every
 // item a cache hit); evaluator b answers the batch first (one lockstep solve)
-// and then the single requests. Every metric except Iterations, and both
+// and then the single requests. Sweeps run on a after both, and on a fresh
+// evaluator c (serveSweeps). Every metric except Iterations, and both
 // indices, must agree with mms.Build(...).Solve and tolerance.Compute within
 // 1e-9 relative.
 func TestServeMatchesDirectSolves(t *testing.T) {
@@ -140,11 +141,88 @@ func TestServeMatchesDirectSolves(t *testing.T) {
 	defer a.Close()
 	single(t, a, "fresh")
 	batch(t, a, "warmed")
+	serveSweeps(t, a, "warmed")
 
 	b := serve.NewEvaluator(serve.Config{Workers: 1})
 	defer b.Close()
 	batch(t, b, "fresh")
 	single(t, b, "warmed")
+
+	c := serve.NewEvaluator(serve.Config{Workers: 1})
+	defer c.Close()
+	serveSweeps(t, c, "fresh")
+}
+
+// serveSweeps runs a p_remote and a runlength sweep of the Table 1 default
+// configuration through e. A sweep's items repeat systems (the real system
+// under both indices, one ZeroRemote ideal for every p_remote point), so
+// the batch solves each distinct system once. Every point's metrics and
+// both indices must agree with mms.Build(...).Solve and tolerance.Compute
+// within 1e-9 relative.
+func serveSweeps(t *testing.T, e *serve.Evaluator, label string) {
+	t.Helper()
+	base := mms.DefaultConfig()
+	req := serve.ModelRequest{
+		K: base.K, Threads: base.Threads, Runlength: base.Runlength,
+		MemoryTime: base.MemoryTime, SwitchTime: base.SwitchTime,
+		PRemote: base.PRemote, Psw: base.Psw,
+	}
+	for _, sw := range []serve.SweepRequest{
+		{ModelRequest: req, Param: "premote", From: 0.05, To: 0.9, Steps: 18},
+		{ModelRequest: req, Param: "r", From: 2, To: 40, Steps: 12},
+	} {
+		lbl := fmt.Sprintf("%s sweep %s", label, sw.Param)
+		knob, err := mms.ParseParam(sw.Param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := knob.Grid(sw.From, sw.To, sw.Steps)
+		points, err := e.Sweep(context.Background(), sw)
+		if err != nil {
+			t.Fatalf("%s: %v", lbl, err)
+		}
+		if len(points) != len(values) {
+			t.Fatalf("%s: %d points, want %d", lbl, len(points), len(values))
+		}
+		for i, v := range values {
+			cfg := base
+			knob.Apply(&cfg, v)
+			model, err := mms.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := model.Solve(mms.SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s point %d: direct solve: %v", lbl, i, err)
+			}
+			net, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroRemote, mms.SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s point %d: direct tol_network: %v", lbl, i, err)
+			}
+			mem, err := tolerance.Compute(cfg, tolerance.Memory, tolerance.ZeroDelay, mms.SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s point %d: direct tol_memory: %v", lbl, i, err)
+			}
+			p := points[i]
+			if p.Value != v {
+				t.Errorf("%s point %d: value %v, want %v", lbl, i, p.Value, v)
+			}
+			m := p.Metrics
+			compareMetrics(t, lbl, i, mms.Metrics{
+				Up: m.Up, LambdaProc: m.LambdaProc, LambdaNet: m.LambdaNet, SObs: m.SObs, LObs: m.LObs,
+				CycleTime: m.CycleTime, MemUtilization: m.MemUtilization,
+				OutUtilization: m.OutUtilization, InUtilization: m.InUtilization,
+			}, want)
+			for _, tol := range []struct {
+				name      string
+				got, want float64
+			}{{"tol_network", p.TolNetwork, net.Tol}, {"tol_memory", p.TolMemory, mem.Tol}} {
+				if e := relErr(tol.got, tol.want); !(e <= 1e-9) {
+					t.Errorf("%s point %d: %s = %.17g, direct gives %.17g (rel %.3g)", lbl, i, tol.name, tol.got, tol.want, e)
+				}
+			}
+		}
+	}
 }
 
 // compareIndex compares a served tolerance outcome with a direct one: the

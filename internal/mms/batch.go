@@ -36,6 +36,15 @@ type BatchResult struct {
 // workspace — and land on the same fixed point as item-by-item Model.Solve
 // calls (same raw-residual stopping rule and tolerance).
 //
+// Each distinct system is elaborated and solved once per call. A Config
+// item with a nil Pattern whose Config and Solver equal an earlier item's
+// takes no solve of its own: it receives that item's result, with a lane
+// error renamed to its own index. One whose geometry (K, PRemote, Psw,
+// GeometricMode) matches an earlier elaborated item's takes its model from
+// Model.Rebase instead of Build. Both are exact — a rebased model solves
+// bit for bit like a built one — so the results equal those of the same
+// batch with its duplicates removed and every model built separately.
+//
 // opts supplies Tolerance, MaxIterations and the Workspace; opts.Solver is
 // ignored (each item carries its own) and Accel/WarmStart apply only to the
 // scalar-fallback items, since the kernel's continuation seeding subsumes
@@ -73,36 +82,64 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 	ws.batchModels = models
 	done := resizeBool(ws.batchDone, len(items))
 	ws.batchDone = done
+	dupOf := resizeInts(ws.batchDupOf, len(items))
+	ws.batchDupOf = dupOf
+	ws.batchSystems.reset(len(items))
+	ws.batchGeometries.reset(len(items))
 
 	// Pass 1: elaborate models, dispatch scalar-only items, resolve the
-	// trivial ones. Whatever remains is symmetric-AMVA work for the kernel.
+	// trivial ones and set duplicates aside. Whatever remains is
+	// symmetric-AMVA work for the kernel.
 	for i := range items {
 		dst[i] = BatchResult{}
 		done[i] = false
-		m := items[i].Model
+		dupOf[i] = -1
+		models[i] = nil
+		it := &items[i]
+		m := it.Model
+		geoSlot := -1
+		// Only items with a nil Pattern share, so equality never compares
+		// two Pattern implementations (which may be incomparable).
+		if m == nil && it.Config.Pattern == nil {
+			j, slot := ws.batchSystems.lookup(systemHash(it), func(j int) bool { return items[j] == *it })
+			if j >= 0 {
+				dupOf[i] = j
+				done[i] = true
+				continue
+			}
+			ws.batchSystems.record(slot, i)
+			g := it.Config.geometry()
+			if j, slot := ws.batchGeometries.lookup(g.hash(), func(j int) bool { return items[j].Config.geometry() == g }); j >= 0 {
+				m, _ = models[j].Rebase(it.Config) // refused only if invalid: Build reports it
+			} else {
+				geoSlot = slot
+			}
+		}
 		if m == nil {
 			var err error
-			if m, err = Build(items[i].Config); err != nil {
+			if m, err = Build(it.Config); err != nil {
 				dst[i].Err = err
 				done[i] = true
-				models[i] = nil
 				continue
+			}
+			if geoSlot >= 0 {
+				ws.batchGeometries.record(geoSlot, i)
 			}
 		}
 		models[i] = m
-		switch items[i].Solver {
+		switch it.Solver {
 		case SymmetricAMVA:
 			if m.cfg.Threads == 0 {
 				done[i] = true // zero-valued Metrics, as in Model.Solve
 			}
 		case FullAMVA, ExactMVA:
 			sopts := opts
-			sopts.Solver = items[i].Solver
+			sopts.Solver = it.Solver
 			dst[i].Metrics, dst[i].Err = m.Solve(sopts)
 			done[i] = true
 		default:
 			dst[i].Err = validate.Fieldf("mms.BatchItem", "Solver",
-				"= %d, want SymmetricAMVA, FullAMVA or ExactMVA", int(items[i].Solver))
+				"= %d, want SymmetricAMVA, FullAMVA or ExactMVA", int(it.Solver))
 			done[i] = true
 		}
 	}
@@ -131,7 +168,29 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 		ws.batchIdx = idx
 		solveSymmetricBatch(ws, models, idx, shapes[i], opts, dst)
 	}
+
+	// Pass 3: every duplicate takes its first occurrence's outcome.
+	for i, j := range dupOf {
+		if j < 0 {
+			continue
+		}
+		dst[i] = dst[j]
+		if e, ok := dst[j].Err.(*laneError); ok {
+			dst[i].Err = &laneError{item: i, err: e.err}
+		}
+	}
 }
+
+// laneError is a kernel lane failure, reported against the batch item whose
+// lane it was (or, for a duplicate item, against the duplicate).
+type laneError struct {
+	item int
+	err  error
+}
+
+func (e *laneError) Error() string { return fmt.Sprintf("mms: batch item %d: %v", e.item, e.err) }
+
+func (e *laneError) Unwrap() error { return e.err }
 
 // batchShape is the merged station signature of one lane: how many distinct
 // (visit ratio) values each role carries once zero-visit stations are
@@ -242,7 +301,7 @@ func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShap
 	bw.Run(mva.BatchOptions{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations})
 	for b, it := range idx {
 		if err := bw.Err(b); err != nil {
-			dst[it].Err = fmt.Errorf("mms: batch item %d: %w", it, err)
+			dst[it].Err = &laneError{item: it, err: err}
 			continue
 		}
 		lambda := bw.Lambda(b)
@@ -269,6 +328,13 @@ func resizeModels(buf []*Model, n int) []*Model {
 func resizeBool(buf []bool, n int) []bool {
 	if cap(buf) < n {
 		return make([]bool, n)
+	}
+	return buf[:n]
+}
+
+func resizeInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
 	}
 	return buf[:n]
 }

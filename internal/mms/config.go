@@ -134,6 +134,21 @@ func (c Config) switchPorts() int {
 	return c.SwitchPorts
 }
 
+// geometry is the part of a Config that a model's topology and visit ratios
+// depend on, given the same Pattern: Model.Rebase shares an elaborated model
+// between configurations with equal geometry, and SolveBatch indexes its
+// items by it to elaborate each geometry once.
+type geometry struct {
+	k       int
+	pRemote float64
+	psw     float64
+	mode    access.GeometricMode
+}
+
+func (c Config) geometry() geometry {
+	return geometry{k: c.K, pRemote: c.PRemote, psw: c.Psw, mode: c.GeometricMode}
+}
+
 // pattern resolves the configured access pattern (nil when remote accesses
 // are impossible).
 func (c Config) pattern(t *topology.Torus) (access.Pattern, error) {

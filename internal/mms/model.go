@@ -91,14 +91,34 @@ func Build(cfg Config) (*Model, error) {
 //	outbound_0: p              (every remote request is injected here)
 //	outbound_j: em[0][j], j≠0  (every response leaves its home node here)
 //	inbound_j:  forward- plus return-route traversals through node j
+//
+// and merges each role's visits into batch-kernel rows. The three visit
+// vectors share one backing array and the six row lists another, sized up
+// front from the non-zero visit counts (a role has at most that many
+// distinct values), so elaboration allocates twice here regardless of K.
 func (m *Model) computeVisits() {
 	var q func(topology.Node) float64
 	if m.pattern != nil {
 		q = func(dst topology.Node) float64 { return m.pattern.Prob(0, dst) }
 	}
 	m.visitMem, m.visitOut, m.visitIn = visitsFrom(m.torus, 0, m.cfg.PRemote, q)
-	for r, vis := range [3][]float64{m.visitMem, m.visitOut, m.visitIn} {
-		m.mergeVals[r], m.mergeCounts[r] = distinctVisits(vis, nil, nil)
+	vis := [3][]float64{m.visitMem, m.visitOut, m.visitIn}
+	var nnz [3]int
+	total := 0
+	for r, v := range vis {
+		for _, x := range v {
+			if x != 0 {
+				nnz[r]++
+			}
+		}
+		total += nnz[r]
+	}
+	rows := make([]float64, 2*total)
+	for r, v := range vis {
+		n := nnz[r]
+		vals, counts := rows[:0:n], rows[n:n:2*n]
+		m.mergeVals[r], m.mergeCounts[r] = distinctVisits(v, vals, counts)
+		rows = rows[2*n:]
 	}
 }
 
@@ -108,17 +128,20 @@ func (m *Model) computeVisits() {
 // p·q(dst); requests enter the network through outbound[home], traverse the
 // inbound switch of every node on the dimension-order route (destination
 // included), and responses return through outbound[dst] and the reverse
-// route. q must sum to 1 over dst ≠ home (it is ignored when p == 0).
+// route. q must sum to 1 over dst ≠ home (it is ignored when p == 0). The
+// three vectors share one backing array, and every route is walked into one
+// reused buffer.
 func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topology.Node) float64) (mem, out, in []float64) {
 	n := t.Nodes()
-	mem = make([]float64, n)
-	out = make([]float64, n)
-	in = make([]float64, n)
+	vis := make([]float64, 3*n)
+	mem, out, in = vis[:n:n], vis[n:2*n:2*n], vis[2*n:]
 	mem[home] = 1 - p
 	if p == 0 || q == nil {
 		return mem, out, in
 	}
 	out[home] = p
+	var buf [32]topology.Node // longer routes grow it once
+	route := buf[:0]
 	for j := 0; j < n; j++ {
 		dst := topology.Node(j)
 		if dst == home {
@@ -130,10 +153,12 @@ func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topolo
 		if em == 0 {
 			continue
 		}
-		for _, hop := range t.Route(home, dst) {
+		route = t.AppendRoute(route[:0], home, dst)
+		for _, hop := range route {
 			in[hop] += em
 		}
-		for _, hop := range t.Route(dst, home) {
+		route = t.AppendRoute(route[:0], dst, home)
+		for _, hop := range route {
 			in[hop] += em
 		}
 	}
@@ -144,16 +169,17 @@ func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topolo
 func (m *Model) Config() Config { return m.cfg }
 
 // Rebase returns a model for cfg that reuses this model's elaborated
-// topology and visit ratios. It succeeds only when cfg differs from the
-// model's configuration in fields the visits do not depend on (thread count,
-// service times, ports): a probe sequence turning one such knob — the common
-// case for inverse solves — re-elaborates nothing. The shared slices are
-// read-only in both models. cfg.Pattern must be nil or a comparable
-// implementation (the same contract as configuration equality elsewhere).
+// topology and visit ratios. It succeeds only when cfg is valid and differs
+// from the model's configuration in fields the visits do not depend on
+// (thread count, service times, ports) — K, PRemote, Psw, GeometricMode and
+// Pattern must be equal. A rebased model solves bit for bit like a built
+// one. Two callers rely on that: an inverse solve's probe sequence turning
+// one such knob re-elaborates nothing (eval.Solver), and SolveBatch
+// elaborates each geometry of a batch once. The shared slices are read-only
+// in both models. cfg.Pattern must be nil or a comparable implementation
+// (the same contract as configuration equality elsewhere).
 func (m *Model) Rebase(cfg Config) (*Model, bool) {
-	old := m.cfg
-	if cfg.K != old.K || cfg.PRemote != old.PRemote || cfg.Psw != old.Psw ||
-		cfg.GeometricMode != old.GeometricMode || cfg.Pattern != old.Pattern {
+	if cfg.geometry() != m.cfg.geometry() || cfg.Pattern != m.cfg.Pattern {
 		return nil, false
 	}
 	if err := cfg.Validate(); err != nil {

@@ -49,6 +49,12 @@ type Workspace struct {
 	// and the hoisted per-lane role parameters of the kernel load.
 	batchShapes []batchShape
 	batchRole   []float64
+	// Sharing scratch of SolveBatch: each item's first identical item (or
+	// -1), and the first item of each distinct system and of each distinct
+	// elaborated geometry in the current batch.
+	batchDupOf      []int
+	batchSystems    itemIndex
+	batchGeometries itemIndex
 }
 
 // ensureSym sizes the symmetric-solver vectors for n stations. Contents are

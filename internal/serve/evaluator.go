@@ -253,12 +253,12 @@ func (e *Evaluator) submit(t task) error {
 	}
 }
 
-// worker is the pool loop: one reusable solver workspace per worker (the
-// sweep runner's per-worker pattern), so steady-state solves allocate
-// nothing beyond model construction.
+// worker is the pool loop: one reusable solver workspace and batch scratch
+// per worker (the sweep runner's per-worker pattern), so steady-state solves
+// allocate nothing beyond model construction.
 func (e *Evaluator) worker() {
 	defer e.wg.Done()
-	ws := new(mms.Workspace)
+	w := new(workerScratch)
 	for t := range e.tasks {
 		e.met.queueWait.observe(time.Since(t.enq))
 		if err := t.ctx.Err(); err != nil {
@@ -278,10 +278,20 @@ func (e *Evaluator) worker() {
 			}
 		}
 		start := time.Now()
-		e.computeBatch(ws, t.ents)
+		e.computeBatch(w, t.ents)
 		e.met.solveLatency.observe(time.Since(start))
 		e.met.inFlight.Add(-1)
 	}
+}
+
+// workerScratch is one worker's reusable solve state: the solver workspace
+// and the batch item, result and per-entry ideal-derivation error slices
+// of computeBatch.
+type workerScratch struct {
+	ws       mms.Workspace
+	items    []mms.BatchItem
+	results  []mms.BatchResult
+	idealErr []error
 }
 
 // computeBatch translates entries into mms batch items — one per solve key,
@@ -291,25 +301,34 @@ func (e *Evaluator) worker() {
 // forward, so runs of same-shape requests converge from a continuation guess
 // instead of from scratch; full-AMVA items additionally get warm starting and
 // Anderson mixing (same fixed point; see mva.Accel).
-func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
-	items := make([]mms.BatchItem, 0, 2*len(ents))
+func (e *Evaluator) computeBatch(w *workerScratch, ents []*entry) {
+	items := w.items[:0]
+	idealErr := w.idealErr[:0]
 	for _, ent := range ents {
 		k := ent.key
 		cfg := k.config()
 		items = append(items, mms.BatchItem{Config: cfg, Solver: k.solver})
+		var ierr error
 		if k.op == opTolerance {
-			ideal, err := tolerance.IdealConfig(cfg, k.sub, k.mode)
-			if err != nil {
-				// Canonical keys carry validated subsystem/mode pairs, so this
-				// is unreachable; keep the span aligned and report it below.
+			var ideal mms.Config
+			// Canonical keys carry validated subsystem/mode pairs, so the
+			// error is unreachable; the real config keeps the span aligned
+			// and the error is reported below.
+			if ideal, ierr = tolerance.IdealConfig(cfg, k.sub, k.mode); ierr != nil {
 				ideal = cfg
 			}
 			items = append(items, mms.BatchItem{Config: ideal, Solver: k.solver})
 		}
+		idealErr = append(idealErr, ierr)
 	}
-	results := mms.SolveBatch(items, mms.SolveOptions{Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson})
+	w.items, w.idealErr = items, idealErr
+	if cap(w.results) < len(items) {
+		w.results = make([]mms.BatchResult, len(items))
+	}
+	results := w.results[:len(items)]
+	mms.SolveBatchInto(results, items, mms.SolveOptions{Workspace: &w.ws, WarmStart: true, Accel: mva.AccelAnderson})
 	pos := 0
-	for _, ent := range ents {
+	for i, ent := range ents {
 		k := ent.key
 		var res result
 		var err error
@@ -322,11 +341,9 @@ func (e *Evaluator) computeBatch(ws *mms.Workspace, ents []*entry) {
 				err = re.Err
 			case id.Err != nil:
 				err = id.Err
+			case idealErr[i] != nil:
+				err = idealErr[i]
 			default:
-				if _, ierr := tolerance.IdealConfig(k.config(), k.sub, k.mode); ierr != nil {
-					err = ierr
-					break
-				}
 				res = result{real: re.Metrics, ideal: id.Metrics, tol: tolerance.Ratio(re.Metrics.Up, id.Metrics.Up)}
 			}
 		default: // opSolve

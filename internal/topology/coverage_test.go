@@ -104,3 +104,28 @@ func TestMeshMeanDistanceLargerGrid(t *testing.T) {
 		t.Errorf("mean distance %v vs brute force %v", m.MeanDistanceUniform(), sum/pairs)
 	}
 }
+
+// TestAppendRouteMatchesRoute pins AppendRoute to Route for every node pair
+// on tori and meshes up to k = 7, appended after a prefix that must survive
+// untouched.
+func TestAppendRouteMatchesRoute(t *testing.T) {
+	for k := 1; k <= 7; k++ {
+		for _, net := range []Network{MustTorus(k), MustMesh(k)} {
+			for a := 0; a < net.Nodes(); a++ {
+				for b := 0; b < net.Nodes(); b++ {
+					src, dst := Node(a), Node(b)
+					want := net.Route(src, dst)
+					got := net.AppendRoute([]Node{-1}, src, dst)
+					if len(got) != 1+len(want) || got[0] != -1 {
+						t.Fatalf("%s: AppendRoute([-1], %d, %d) = %v, want [-1] + %v", net.Name(), a, b, got, want)
+					}
+					for i, hop := range want {
+						if got[1+i] != hop {
+							t.Fatalf("%s: AppendRoute(%d, %d) = %v, want %v", net.Name(), a, b, got[1:], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,6 +18,10 @@ type Network interface {
 	// Route returns the dimension-order minimal route from src to dst: the
 	// node visited after each hop, ending with dst (empty when src == dst).
 	Route(src, dst Node) []Node
+	// AppendRoute appends the hops of Route(src, dst) to buf and returns
+	// the extended slice, so a caller walking many routes can reuse one
+	// buffer.
+	AppendRoute(buf []Node, src, dst Node) []Node
 	// Name identifies the topology in reports.
 	Name() string
 }
@@ -88,18 +92,22 @@ func (m *Mesh) Route(src, dst Node) []Node {
 	if src == dst {
 		return nil
 	}
-	hops := make([]Node, 0, m.Distance(src, dst))
+	return m.AppendRoute(make([]Node, 0, m.Distance(src, dst)), src, dst)
+}
+
+// AppendRoute implements Network.
+func (m *Mesh) AppendRoute(buf []Node, src, dst Node) []Node {
 	x, y := m.Coord(src)
 	dx, dy := m.Coord(dst)
 	for x != dx {
 		x += sign(dx - x)
-		hops = append(hops, m.NodeAt(x, y))
+		buf = append(buf, m.NodeAt(x, y))
 	}
 	for y != dy {
 		y += sign(dy - y)
-		hops = append(hops, m.NodeAt(x, y))
+		buf = append(buf, m.NodeAt(x, y))
 	}
-	return hops
+	return buf
 }
 
 // Name implements Network.

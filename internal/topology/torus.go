@@ -116,18 +116,37 @@ func (t *Torus) Route(src, dst Node) []Node {
 	if src == dst {
 		return nil
 	}
-	hops := make([]Node, 0, t.Distance(src, dst))
+	return t.AppendRoute(make([]Node, 0, t.Distance(src, dst)), src, dst)
+}
+
+// AppendRoute appends the hops of Route(src, dst) to buf and returns the
+// extended slice; it allocates only when buf lacks the capacity. A minimal
+// route never turns around within a dimension, so each dimension's
+// direction is fixed by its first hop and the walk wraps without dividing.
+func (t *Torus) AppendRoute(buf []Node, src, dst Node) []Node {
+	k := t.k
 	x, y := t.Coord(src)
 	dx, dy := t.Coord(dst)
-	for x != dx {
-		x = mod(x+ringStep(x, dx, t.k), t.k)
-		hops = append(hops, t.NodeAt(x, y))
+	for step := ringStep(x, dx, k); x != dx; {
+		x = wrap(x+step, k)
+		buf = append(buf, Node(y*k+x))
 	}
-	for y != dy {
-		y = mod(y+ringStep(y, dy, t.k), t.k)
-		hops = append(hops, t.NodeAt(x, y))
+	for step := ringStep(y, dy, k); y != dy; {
+		y = wrap(y+step, k)
+		buf = append(buf, Node(y*k+x))
 	}
-	return hops
+	return buf
+}
+
+// wrap maps a position one step outside [0, k) back onto the ring.
+func wrap(a, k int) int {
+	switch {
+	case a == k:
+		return 0
+	case a < 0:
+		return k - 1
+	}
+	return a
 }
 
 // ringDist is the shortest distance between positions a and b on a ring of

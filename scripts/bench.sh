@@ -41,6 +41,15 @@
 #
 #   bash scripts/bench.sh 5 'WireDecode|ServeHTTPBatch' .
 #
+# Model elaboration and batch sharing: BenchmarkBuildModelK4 and
+# BenchmarkBuildModelK10 (mms.Build at the Table 1 size and at 10×10; 8
+# allocs/op at any K) and BenchmarkSolveBatchSweepItems (the 72 items of an
+# 18-point p_remote /v1/sweep — 37 distinct systems over 19 geometries — as
+# Config items on a reused workspace, so it times elaboration, duplicate
+# resolution and the kernel together). Focused run:
+#
+#   bash scripts/bench.sh 5 'BuildModel|SolveBatchSweepItems' .
+#
 # Replication-path benchmarks: BenchmarkReplicateSingle (one reset-and-replay
 # replication through a reused Replicator, per engine), BenchmarkReplicate
 # (the parallel runner at 1 vs 8 workers on a fixed 16-replication budget —
