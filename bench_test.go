@@ -381,12 +381,12 @@ func figure4SnakeModels(b *testing.B) []*mms.Model {
 }
 
 // BenchmarkAMVAColdVsWarm measures continuation sweeps: one op solves the
-// whole 180-point Figure 4 grid through a single reused workspace. "cold" is
-// the pre-continuation behavior (every solve from the uniform seed, plain
-// iteration); "warm" seeds each solve from the neighboring point's converged
-// solution; "warm-anderson" adds Anderson mixing on top — the configuration
-// the sweep paths actually run. The iters/solve metric is the mean AMVA
-// iteration count per grid point.
+// whole 180-point Figure 4 grid through a single reused workspace. "cold"
+// solves every point from the uniform seed (plain iteration); "warm" seeds
+// each solve from the neighboring point's converged solution and lets the
+// kernel's Aitken extrapolation run — the configuration the sweep paths
+// actually run. The iters/solve metric is the mean AMVA iteration count per
+// grid point.
 func BenchmarkAMVAColdVsWarm(b *testing.B) {
 	models := figure4SnakeModels(b)
 	for _, mode := range []struct {
@@ -395,7 +395,6 @@ func BenchmarkAMVAColdVsWarm(b *testing.B) {
 	}{
 		{"cold", mms.SolveOptions{}},
 		{"warm", mms.SolveOptions{WarmStart: true}},
-		{"warm-anderson", mms.SolveOptions{WarmStart: true, Accel: mva.AccelAnderson}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			ws := new(mms.Workspace)
@@ -416,10 +415,11 @@ func BenchmarkAMVAColdVsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkAMVAAccel compares the fixed-point acceleration schemes on a
+// BenchmarkFullAMVAAccel compares the fixed-point acceleration schemes of
+// the general multiclass AMVA (the solver SolveOptions.Accel acts on) on a
 // single cold solve of a congested operating point (high thread count and
 // remote fraction, where plain Bard–Schweitzer converges slowest).
-func BenchmarkAMVAAccel(b *testing.B) {
+func BenchmarkFullAMVAAccel(b *testing.B) {
 	cfg := mms.DefaultConfig()
 	cfg.Threads = 10
 	cfg.PRemote = 0.9
@@ -431,7 +431,7 @@ func BenchmarkAMVAAccel(b *testing.B) {
 			var iters int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				met, err := model.Solve(mms.SolveOptions{Workspace: ws, Accel: accel})
+				met, err := model.Solve(mms.SolveOptions{Solver: mms.FullAMVA, Workspace: ws, Accel: accel})
 				benchErr(b, err)
 				iters += int64(met.Iterations)
 			}
@@ -601,12 +601,13 @@ func reportPointsPerSec(b *testing.B, points float64) {
 	b.ReportMetric(points*float64(b.N)/b.Elapsed().Seconds(), "points/sec")
 }
 
-// BenchmarkBatchVsLooped measures the SoA batch kernel against looped scalar
-// solves on the 180-point Figure 4–5 operating grid (prebuilt models, snake
-// order, one reused workspace each, so both sides measure solving only).
-// "looped-cold" solves each point from the uniform seed; "looped-warm" is the
-// best scalar configuration (continuation warm start + Anderson mixing);
-// "batch" runs all 180 points through SolveBatchInto in lockstep. The batch
+// BenchmarkBatchVsLooped measures one lockstep batch against looped
+// Model.Solve calls (one-lane batches of the same kernel) on the 180-point
+// Figure 4–5 operating grid (prebuilt models, snake order, one reused
+// workspace each, so both sides measure solving only). "looped-cold" solves
+// each point from the uniform seed; "looped-warm" seeds each point from the
+// previous one's solution; "batch" runs all 180 points through
+// SolveBatchInto in lockstep, continuing from the previous batch. The batch
 // steady state must stay at 0 allocs/op.
 func BenchmarkBatchVsLooped(b *testing.B) {
 	models := figure4SnakeModels(b)
@@ -627,7 +628,7 @@ func BenchmarkBatchVsLooped(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, model := range models {
-				_, err := model.Solve(mms.SolveOptions{Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson})
+				_, err := model.Solve(mms.SolveOptions{Workspace: ws, WarmStart: true})
 				benchErr(b, err)
 			}
 		}
@@ -639,7 +640,7 @@ func BenchmarkBatchVsLooped(b *testing.B) {
 			items[i] = mms.BatchItem{Model: m}
 		}
 		dst := make([]mms.BatchResult, len(items))
-		opts := mms.SolveOptions{Workspace: new(mms.Workspace)}
+		opts := mms.SolveOptions{Workspace: new(mms.Workspace), WarmStart: true}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -655,9 +656,10 @@ func BenchmarkBatchVsLooped(b *testing.B) {
 // BenchmarkSolveBatchSweepItems solves the items of an 18-point p_remote
 // /v1/sweep as lattold's worker submits them: per point a network and a
 // memory tolerance key, each the real system followed by its ideal, as
-// Config items on one reused workspace. The 72 items hold 37 distinct
-// systems over 19 distinct geometries, so the time includes elaboration and
-// the batch's sharing as well as the kernel.
+// Config items on one reused workspace, continuing from the previous batch
+// (WarmStart) as the worker does. The 72 items hold 37 distinct systems over
+// 19 distinct geometries, so the time includes elaboration and the batch's
+// sharing as well as the kernel.
 func BenchmarkSolveBatchSweepItems(b *testing.B) {
 	knob, err := mms.ParseParam("premote")
 	benchErr(b, err)
@@ -675,7 +677,7 @@ func BenchmarkSolveBatchSweepItems(b *testing.B) {
 		}
 	}
 	dst := make([]mms.BatchResult, len(items))
-	opts := mms.SolveOptions{Workspace: new(mms.Workspace)}
+	opts := mms.SolveOptions{Workspace: new(mms.Workspace), WarmStart: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"lattol/internal/mms"
-	"lattol/internal/mva"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
 	"lattol/internal/tolerance"
@@ -87,7 +86,7 @@ func main() {
 		func(ws *mms.Workspace, v float64) (row, error) {
 			cfg := base
 			knob.Apply(&cfg, v)
-			solveOpts := mms.SolveOptions{Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson}
+			solveOpts := mms.SolveOptions{Workspace: ws, WarmStart: true}
 			model, err := mms.Build(cfg)
 			if err != nil {
 				return row{}, err

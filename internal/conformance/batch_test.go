@@ -13,9 +13,10 @@ import (
 // batched SoA solve path: each point contributes three batch items (the real
 // system plus the zero-remote and zero-delay ideals) and the whole corpus is
 // solved as one lockstep batch. The assembled measures and tolerance indices
-// must agree with the committed numbers within GoldenRelTol — the proof that
-// the batch kernel lands on the same fixed point as the scalar path the
-// corpus was generated with.
+// must agree with the committed numbers within GoldenRelTol, so lanes seeded
+// from one another land on the corpus's fixed point. Model.Solve runs the
+// same kernel one lane at a time; the committed numbers themselves and
+// TestSymmetricMatchesFullAMVA are the oracles independent of it.
 func TestGoldenCorpusBatch(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.json")
 	if err != nil {
@@ -66,8 +67,9 @@ func TestGoldenCorpusBatch(t *testing.T) {
 
 // TestRandomConfigsBatchEquivalence draws seeded random configurations from
 // the certified operating range (mixed torus sizes, so the batch partitions
-// into several station shapes) and demands that one batched solve agrees with
-// item-by-item scalar solves on every metric within 1e-9 relative. Both sides
+// into several station shapes) and demands that one batched solve, its lanes
+// seeded from one another, agrees with item-by-item cold Model.Solve calls on
+// every metric within 1e-9 relative. Both sides
 // iterate to a 1e-12 residual so the comparison is not dominated by the
 // distance each stops short of the true fixed point.
 func TestRandomConfigsBatchEquivalence(t *testing.T) {

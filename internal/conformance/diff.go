@@ -253,6 +253,54 @@ func CheckConfig(cfg mms.Config, seed int64, trial int, opts DiffOptions) error 
 	return nil
 }
 
+// maxContinuationThreads bounds the thread count of RunDiff's continuation
+// leg: high enough to reach populations where a seeded kernel lane once
+// stalled (nt = 262), cheap enough for every trial.
+const maxContinuationThreads = 512
+
+// CheckContinuation solves cfg twice with the symmetric AMVA: cold, and on a
+// workspace that just solved the same system at Threads−1, seeded from that
+// solution (WarmStart) — the continuation lattold's workers run. Both solves
+// must converge and agree within GoldenRelTol.
+func CheckContinuation(cfg mms.Config) error {
+	model, err := mms.Build(cfg)
+	if err != nil {
+		return fmt.Errorf("build: %w", err)
+	}
+	cold, err := model.Solve(mms.SolveOptions{})
+	if err != nil {
+		return fmt.Errorf("cold solve: %w", err)
+	}
+	prev := cfg
+	prev.Threads = max(cfg.Threads-1, 1)
+	prevModel, err := mms.Build(prev)
+	if err != nil {
+		return fmt.Errorf("build at nt-1: %w", err)
+	}
+	ws := new(mms.Workspace)
+	if _, err := prevModel.Solve(mms.SolveOptions{Workspace: ws}); err != nil {
+		return fmt.Errorf("solve at nt-1: %w", err)
+	}
+	seeded, err := model.Solve(mms.SolveOptions{Workspace: ws, WarmStart: true})
+	if err != nil {
+		return violatef("continuation", "seeded from nt-1: %v", err)
+	}
+	for _, pair := range []struct {
+		name         string
+		cold, seeded float64
+	}{
+		{"U_p", cold.Up, seeded.Up},
+		{"λ_net", cold.LambdaNet, seeded.LambdaNet},
+		{"S_obs", cold.SObs, seeded.SObs},
+		{"L_obs", cold.LObs, seeded.LObs},
+	} {
+		if relErr(pair.seeded, pair.cold) > GoldenRelTol {
+			return violatef("continuation", "%s: cold %v, seeded from nt-1 %v", pair.name, pair.cold, pair.seeded)
+		}
+	}
+	return nil
+}
+
 // shrinkSteps are the candidate simplifications tried, in order, by Shrink.
 // Each either simplifies the configuration or returns it unchanged.
 var shrinkSteps = []func(mms.Config) mms.Config{
@@ -331,8 +379,10 @@ func Shrink(cfg mms.Config, fails func(mms.Config) bool, budget int) mms.Config 
 
 // RunDiff runs the differential harness: opts.Trials randomized
 // configurations, fanned out over the sweep runner, each checked with
-// CheckConfig. Failing trials are shrunk to a minimal reproducer and
-// reported as *DiffFailure (joined when several trials fail).
+// CheckConfig. Each trial also draws a second configuration with up to 512
+// threads (maxContinuationThreads) and checks it with CheckContinuation.
+// Failing trials are shrunk to a minimal reproducer and reported as
+// *DiffFailure (joined when several trials fail).
 func RunDiff(ctx context.Context, opts DiffOptions) error {
 	opts = opts.withDefaults()
 	trials := make([]int, opts.Trials)
@@ -342,20 +392,29 @@ func RunDiff(ctx context.Context, opts DiffOptions) error {
 	_, err := sweep.Run(ctx, trials, sweep.Options{}, func(trial int) (struct{}, error) {
 		rng := rand.New(rand.NewSource(sweep.DeriveSeed(opts.Seed, int64(trial))))
 		cfg := RandomConfig(rng)
-		err := CheckConfig(cfg, opts.Seed, trial, opts)
-		if err == nil {
-			return struct{}{}, nil
+		hi := RandomConfig(rng)
+		hi.Threads = 1 + rng.Intn(maxContinuationThreads)
+		for _, leg := range []struct {
+			cfg   mms.Config
+			check func(mms.Config) error
+		}{
+			{cfg, func(c mms.Config) error { return CheckConfig(c, opts.Seed, trial, opts) }},
+			{hi, CheckContinuation},
+		} {
+			err := leg.check(leg.cfg)
+			if err == nil {
+				continue
+			}
+			shrunk := Shrink(leg.cfg, func(c mms.Config) bool { return leg.check(c) != nil }, 0)
+			return struct{}{}, &DiffFailure{
+				Seed:   opts.Seed,
+				Trial:  trial,
+				Config: leg.cfg,
+				Shrunk: shrunk,
+				Err:    err,
+			}
 		}
-		shrunk := Shrink(cfg, func(c mms.Config) bool {
-			return CheckConfig(c, opts.Seed, trial, opts) != nil
-		}, 0)
-		return struct{}{}, &DiffFailure{
-			Seed:   opts.Seed,
-			Trial:  trial,
-			Config: cfg,
-			Shrunk: shrunk,
-			Err:    err,
-		}
+		return struct{}{}, nil
 	})
 	return err
 }

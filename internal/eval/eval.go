@@ -78,7 +78,7 @@ type Outcome struct {
 // BatchEvaluator evaluates many operating points in one call. Implementations
 // back it with the lockstep batch kernel (mms.SolveBatch over
 // mva.BatchWorkspace), so a frontier sweep's per-round probe fan-out costs
-// far less than len(cfgs) scalar solves. A failing element never affects its
+// far less than len(cfgs) one-point solves. A failing element never affects its
 // neighbors; out must have len(cfgs).
 type BatchEvaluator interface {
 	Evaluator

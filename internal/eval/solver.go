@@ -156,7 +156,7 @@ func (s *Solver) EvaluateBatch(ctx context.Context, cfgs []Config, opts Options,
 		}
 	}
 	s.items = items
-	mms.SolveBatchInto(res, items, mms.SolveOptions{Workspace: &s.real.ws})
+	mms.SolveBatchInto(res, items, mms.SolveOptions{Workspace: &s.real.ws, WarmStart: true})
 	pos := 0
 	for i := range cfgs {
 		real := res[pos]

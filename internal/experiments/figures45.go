@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lattol/internal/mms"
-	"lattol/internal/mva"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
 	"lattol/internal/tolerance"
@@ -51,8 +50,7 @@ func workloadSurfaces(r float64) (*WorkloadSurfaces, error) {
 	// grid cells (and inside tolerance.Compute's real + ideal solves). The
 	// snake traversal hands every worker a contiguous path of adjacent
 	// operating points, so each warm-started solve continues from its
-	// neighbor's converged solution; Anderson mixing accelerates whatever
-	// iterations remain.
+	// neighbor's converged solution when the station shape matches.
 	opts := sweepOptions()
 	opts.Traversal = sweep.Snake
 	z, err := sweep.Grid2DCtxWithWorker(context.Background(), ps, threads, opts,
@@ -62,7 +60,7 @@ func workloadSurfaces(r float64) (*WorkloadSurfaces, error) {
 			cfg.Runlength = r
 			cfg.Threads = nt
 			cfg.PRemote = p
-			solveOpts := mms.SolveOptions{Workspace: ws, WarmStart: true, Accel: mva.AccelAnderson}
+			solveOpts := mms.SolveOptions{Workspace: ws, WarmStart: true}
 			model, err := mms.Build(cfg)
 			if err != nil {
 				return cell{}, err

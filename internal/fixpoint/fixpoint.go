@@ -1,7 +1,8 @@
 // Package fixpoint implements safeguarded acceleration schemes for damped
-// successive-substitution iterations x ← G(x) on nonnegative vectors, shared
-// by the multiclass AMVA solver (internal/mva) and the symmetric
-// single-class solver (internal/mms).
+// successive-substitution iterations x ← G(x) on nonnegative vectors, used
+// by the multiclass AMVA solver (mva.ApproxMultiClass, behind mms's
+// FullAMVA and heterogeneous models). The symmetric solver's lockstep batch
+// kernel (mva.BatchWorkspace) inlines its own per-lane Aitken step.
 //
 // The accelerator never evaluates the map itself: the caller evaluates
 // g = G(x), tests its own convergence criterion on the raw residual g − x,

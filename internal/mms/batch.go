@@ -18,7 +18,8 @@ type BatchItem struct {
 	Model *Model
 	// Solver selects the solution procedure for this item. SymmetricAMVA
 	// items (the default) ride the lockstep batch kernel; FullAMVA and
-	// ExactMVA items fall back to scalar solves on the same workspace.
+	// ExactMVA items are solved one by one (Model.Solve) on the same
+	// workspace.
 	Solver Solver
 }
 
@@ -31,9 +32,9 @@ type BatchResult struct {
 // SolveBatch solves many operating points as one batch and reports each
 // outcome positionally: a failing item (invalid configuration, non-converged
 // lane) never affects its neighbors. Symmetric-AMVA items of equal station
-// shape are iterated in lockstep by the mva batch kernel — with warm-start
-// continuation between the points and across successive batches on the same
-// workspace — and land on the same fixed point as item-by-item Model.Solve
+// shape are iterated in lockstep by the mva batch kernel — the kernel every
+// Model.Solve runs as a one-lane batch — with continuation seeding between
+// the points, and land on the same fixed point as item-by-item Model.Solve
 // calls (same raw-residual stopping rule and tolerance).
 //
 // Each distinct system is elaborated and solved once per call. A Config
@@ -45,10 +46,12 @@ type BatchResult struct {
 // bit for bit like a built one — so the results equal those of the same
 // batch with its duplicates removed and every model built separately.
 //
-// opts supplies Tolerance, MaxIterations and the Workspace; opts.Solver is
-// ignored (each item carries its own) and Accel/WarmStart apply only to the
-// scalar-fallback items, since the kernel's continuation seeding subsumes
-// them.
+// opts supplies Tolerance, MaxIterations, WarmStart and the Workspace;
+// opts.Solver is ignored (each item carries its own). WarmStart seeds each
+// kernel run from the workspace's previous converged solution of the same
+// station count (mva.BatchOptions.WarmStart) — across successive batches and
+// between the shapes of one batch — and applies to FullAMVA items as in
+// Model.Solve. Accel acts only on FullAMVA items.
 func SolveBatch(items []BatchItem, opts SolveOptions) []BatchResult {
 	out := make([]BatchResult, len(items))
 	SolveBatchInto(out, items, opts)
@@ -87,7 +90,7 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 	ws.batchSystems.reset(len(items))
 	ws.batchGeometries.reset(len(items))
 
-	// Pass 1: elaborate models, dispatch scalar-only items, resolve the
+	// Pass 1: elaborate models, solve FullAMVA and ExactMVA items, resolve the
 	// trivial ones and set duplicates aside. Whatever remains is
 	// symmetric-AMVA work for the kernel.
 	for i := range items {
@@ -246,12 +249,14 @@ func batchShapeOf(m *Model) batchShape {
 	}
 }
 
-// solveSymmetricBatch loads one merged shape's items into the SoA kernel —
-// the symmetric solver's class-0 layout (0 = processor, then memory,
-// outbound, inbound role groups) with each role collapsed to its distinct
-// visit values as weighted representative rows — and assembles each lane's
-// metrics exactly as solveSymmetric does, the role sums weighted by the
-// physical station counts.
+// solveSymmetricBatch loads one merged shape's items into the SoA kernel and
+// assembles each lane's metrics. The layout is class 0's view of the
+// symmetric network (0 = processor, then memory, outbound, inbound role
+// groups), with each role collapsed to its distinct visit values as weighted
+// representative rows. Every class is a torus translation of class 0, so the
+// total queue length a class-0 customer sees at a station of one role is the
+// role total Σ_d n_0[station_d] — the kernel's group total — and the
+// Bard–Schweitzer fixed point can be iterated on class 0 alone.
 func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShape, opts SolveOptions, dst []BatchResult) {
 	bw := &ws.batch
 	bw.Reset(len(idx), sh.rows(), 4)
@@ -298,7 +303,7 @@ func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShap
 			row++
 		}
 	}
-	bw.Run(mva.BatchOptions{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations})
+	bw.Run(mva.BatchOptions{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations, WarmStart: opts.WarmStart})
 	for b, it := range idx {
 		if err := bw.Err(b); err != nil {
 			dst[it].Err = &laneError{item: it, err: err}

@@ -35,9 +35,10 @@ func batchCompareMetrics(t *testing.T, label string, got, want Metrics, relTol f
 
 // TestSolveBatchMatchesSolve pins SolveBatch to item-by-item Model.Solve over
 // a mixed batch: two station shapes (K=2 and K=4), varying thread counts and
-// remote fractions, a multiported point, and scalar-fallback items (FullAMVA
-// and ExactMVA). Both sides iterate to a 1e-12 residual and must agree at
-// 1e-9.
+// remote fractions, a multiported point, and items solved one by one
+// (FullAMVA and ExactMVA). The symmetric items run lanes seeded from one
+// another against cold one-lane solves of the same kernel. Both sides
+// iterate to a 1e-12 residual and must agree at 1e-9.
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	mk := func(k, nt int, p float64) Config {
 		cfg := DefaultConfig()
@@ -74,13 +75,50 @@ func TestSolveBatchMatchesSolve(t *testing.T) {
 		}
 		want, err := model.Solve(SolveOptions{Solver: it.Solver, Tolerance: 1e-12})
 		if err != nil {
-			t.Fatalf("scalar item %d: %v", i, err)
+			t.Fatalf("Model.Solve item %d: %v", i, err)
 		}
 		batchCompareMetrics(t, "item", results[i].Metrics, want, 1e-9)
 		if it.Solver != ExactMVA && results[i].Metrics.Iterations <= 0 {
 			t.Errorf("item %d: Iterations = %d, want > 0", i, results[i].Metrics.Iterations)
 		}
 	}
+}
+
+// TestSolveBatchSeededLaneConverges is the regression test of a kernel lane
+// that stalled: seeded from the nt = 261 solution, the nt = 262 lane cycled
+// between Aitken extrapolants until the iteration cap, while a cold solve
+// converges in a few hundred iterations. Both the two-item batch and two
+// successive one-item batches with WarmStart (lattold's worker) must
+// converge to the cold solve's fixed point.
+func TestSolveBatchSeededLaneConverges(t *testing.T) {
+	first := Config{K: 3, Threads: 261, Runlength: 8.76883659885128, MemoryTime: 9.319930398174666,
+		SwitchTime: 2.862123160064671, PRemote: 0.19765654443546032, Psw: 0.6320301951794056}
+	second := first
+	second.Threads = 262
+	model, err := Build(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := SolveBatch([]BatchItem{{Config: first}, {Config: second}}, SolveOptions{Workspace: new(Workspace)})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("batch item %d: %v", i, r.Err)
+		}
+	}
+	batchCompareMetrics(t, "batch", res[1].Metrics, want, 1e-9)
+
+	ws := new(Workspace)
+	for _, cfg := range []Config{first, second} {
+		res = SolveBatch([]BatchItem{{Config: cfg}}, SolveOptions{Workspace: ws, WarmStart: true})
+		if res[0].Err != nil {
+			t.Fatalf("nt=%d, continued: %v", cfg.Threads, res[0].Err)
+		}
+	}
+	batchCompareMetrics(t, "continued", res[0].Metrics, want, 1e-9)
 }
 
 // TestSolveBatchPositionalErrors mixes an invalid configuration and a
@@ -142,6 +180,32 @@ func TestSolveBatchIntoAllocates0(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("batch solve allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSolveAllocates0: a symmetric Model.Solve is a one-lane batch on the
+// workspace's kernel, and on a reused workspace it allocates nothing, cold or
+// warm-started.
+func TestSolveAllocates0(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.K = 6
+	model, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		opts := SolveOptions{Workspace: new(Workspace), WarmStart: warm}
+		if _, err := model.Solve(opts); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := model.Solve(opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("WarmStart %v: Model.Solve allocates %v allocs/op, want 0", warm, allocs)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lattol/internal/fixpoint"
 	"lattol/internal/mva"
 	"lattol/internal/topology"
 	"lattol/internal/validate"
@@ -65,14 +64,19 @@ type SolveOptions struct {
 	Solver        Solver
 	Tolerance     float64 // convergence threshold on queue lengths (default 1e-10)
 	MaxIterations int     // default 200000
-	// Accel selects a fixed-point acceleration scheme for the AMVA solvers
-	// (ignored by ExactMVA). Same fixed point, fewer iterations; see
-	// mva.Accel.
+	// Accel selects a fixed-point acceleration scheme for FullAMVA and the
+	// heterogeneous solver. Same fixed point, fewer iterations; see
+	// mva.Accel. SymmetricAMVA ignores it: the batch kernel always runs its
+	// own guarded Aitken extrapolation (see mva.BatchWorkspace).
 	Accel mva.Accel
 	// WarmStart seeds the AMVA iterate from the workspace's previous
 	// converged solution when the network shape matches (ignored by
-	// ExactMVA). Effective only with an explicit Workspace reused across
-	// solves — pool-borrowed workspaces give no locality guarantee.
+	// ExactMVA). For SymmetricAMVA it is the batch kernel's continuation
+	// (mva.BatchOptions.WarmStart), shared by Model.Solve and SolveBatch on
+	// one workspace. Effective only with an explicit Workspace reused across
+	// solves — pool-borrowed workspaces give no locality guarantee. Without
+	// it a solve's result, Iterations included, does not depend on what the
+	// workspace solved before.
 	WarmStart bool
 	// Workspace, when non-nil, supplies reusable solver scratch buffers;
 	// sweeps hand each worker its own so repeated solves allocate nothing.
@@ -172,167 +176,17 @@ func (m *Model) Solve(opts SolveOptions) (Metrics, error) {
 		ws = getWorkspace()
 		defer putWorkspace(ws)
 	}
-	if opts.Solver == SymmetricAMVA {
-		return m.solveSymmetric(opts, ws)
+	if opts.Solver != SymmetricAMVA {
+		return m.solveFull(opts, ws)
 	}
-	return m.solveFull(opts, ws)
-}
-
-// solveSymmetric iterates the Bard–Schweitzer fixed point on class 0 only.
-// Station layout (class-0 view): index 0 = own processor, then per node j:
-// memory_j, outbound_j, inbound_j. Total queue lengths at stations follow
-// from translation symmetry:
-//
-//	Σ_i n_i[proc_0] = n_0[proc_0]          (only class 0 visits it)
-//	Σ_i n_i[mem_j]  = Σ_d n_0[mem_d]       (independent of j)
-//
-// and likewise for switches.
-func (m *Model) solveSymmetric(opts SolveOptions, ws *Workspace) (Metrics, error) {
-	nNodes := m.torus.Nodes()
-	nt := float64(m.cfg.Threads)
-
-	// Flatten class-0 stations: 0 = processor, then [1, 1+n) memories,
-	// [1+n, 1+2n) outbound, [1+2n, 1+3n) inbound.
-	nStations := 1 + 3*nNodes
-	warm := opts.WarmStart && ws.symWarmOK && ws.symWarmN == nStations
-	ws.ensureSym(nStations)
-	// The iterate is in flux until this solve converges; a failed solve must
-	// not seed the next warm start.
-	ws.symWarmOK = false
-	e, s, role, srv := ws.e, ws.s, ws.role, ws.srv
-	e[0], s[0], role[0] = 1, m.cfg.processorService(), Processor
-	for j := 0; j < nNodes; j++ {
-		e[1+j], s[1+j], role[1+j] = m.visitMem[j], m.cfg.MemoryTime, Memory
-		e[1+nNodes+j], s[1+nNodes+j], role[1+nNodes+j] = m.visitOut[j], m.cfg.SwitchTime, Outbound
-		e[1+2*nNodes+j], s[1+2*nNodes+j], role[1+2*nNodes+j] = m.visitIn[j], m.cfg.SwitchTime, Inbound
+	// One lane of the batch kernel. A lane error is reported unwrapped: this
+	// solve has no batch item to name.
+	var out [1]BatchResult
+	solveSymmetricBatch(ws, []*Model{m}, []int{0}, batchShapeOf(m), opts, out[:])
+	if e, ok := out[0].Err.(*laneError); ok {
+		return Metrics{}, e.err
 	}
-	for i := range srv {
-		srv[i] = float64(m.serverCount(role[i]))
-	}
-
-	q := ws.q
-	if warm {
-		// q holds the previous converged solution of a same-shape solve —
-		// the continuation guess. Stations this configuration does not visit
-		// must read as zero (their update is identically zero, so stale mass
-		// would only survive iteration 1, but zeroing keeps the first
-		// residence times sane).
-		for i, ev := range e {
-			if ev == 0 {
-				q[i] = 0
-			}
-		}
-	} else {
-		// Initialize: spread the class population over visited stations.
-		visited := 0
-		for _, ev := range e {
-			if ev > 0 {
-				visited++
-			}
-		}
-		for i, ev := range e {
-			if ev > 0 {
-				q[i] = nt / float64(visited)
-			} else {
-				q[i] = 0
-			}
-		}
-	}
-
-	var scheme fixpoint.Scheme
-	switch opts.Accel {
-	case mva.AccelAitken:
-		scheme = fixpoint.Aitken
-	case mva.AccelAnderson:
-		scheme = fixpoint.Anderson
-	default:
-		scheme = fixpoint.None
-	}
-	if scheme != fixpoint.None {
-		ws.g = resizeF(ws.g, nStations)
-		ws.upper = resizeF(ws.upper, nStations)
-		for i := range ws.upper {
-			ws.upper[i] = nt
-		}
-		ws.accel.Reset(scheme, 0, nStations)
-	}
-
-	w := ws.w
-	var lambda float64
-	var iterations int
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		// Role totals Σ_d n_0[station_d] give the symmetric column sums.
-		var roleTotal [4]float64
-		for i, role := range role {
-			roleTotal[role] += q[i]
-		}
-		var cycle float64
-		for i := range w {
-			if e[i] == 0 {
-				w[i] = 0
-				continue
-			}
-			// Shadow-server residence: exact at one server, a pure delay
-			// as the port count grows (matches mva.residence).
-			seen := roleTotal[role[i]] - q[i]/nt
-			w[i] = s[i]/srv[i]*(1+seen) + s[i]*(srv[i]-1)/srv[i]
-			cycle += e[i] * w[i]
-		}
-		if cycle <= 0 {
-			return Metrics{}, fmt.Errorf("mms: degenerate zero cycle time")
-		}
-		if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
-			// The times overflow float64: the iterate can never reach the
-			// fixed point, and it must not seed the next warm start.
-			return Metrics{}, &mva.NonConvergenceError{Iterations: iter - 1, MaxDelta: math.Inf(1), Tolerance: opts.Tolerance}
-		}
-		lambda = nt / cycle
-		maxDelta := 0.0
-		if scheme == fixpoint.None {
-			for i := range q {
-				nNew := lambda * e[i] * w[i]
-				if d := math.Abs(nNew - q[i]); d > maxDelta {
-					maxDelta = d
-				}
-				q[i] = nNew
-			}
-		} else {
-			// Accelerated path: evaluate the sweep into g, converge on the
-			// raw residual (same test as the plain path), then let the
-			// accelerator pick the next iterate.
-			g := ws.g
-			for i := range q {
-				g[i] = lambda * e[i] * w[i]
-				if d := math.Abs(g[i] - q[i]); d > maxDelta {
-					maxDelta = d
-				}
-			}
-			if maxDelta < opts.Tolerance {
-				copy(q, g)
-			} else {
-				ws.accel.Advance(q, g, ws.upper)
-			}
-		}
-		if maxDelta < opts.Tolerance {
-			iterations = iter
-			break
-		}
-		if iter == opts.MaxIterations {
-			return Metrics{}, fmt.Errorf("mms: symmetric AMVA did not converge within %d iterations", opts.MaxIterations)
-		}
-	}
-	ws.symWarmOK, ws.symWarmN = true, nStations
-
-	// Class-0 latency sums, read directly off the flat residence vector —
-	// no per-solve closure.
-	var lObs, sObsSum float64
-	for j := 0; j < nNodes; j++ {
-		lObs += m.visitMem[j] * w[1+j]
-		sObsSum += m.visitOut[j]*w[1+nNodes+j] + m.visitIn[j]*w[1+2*nNodes+j]
-	}
-	met := m.assembleMetrics(lambda, lObs, sObsSum)
-	met.Iterations = iterations
-	return met, nil
+	return out[0].Metrics, nil
 }
 
 // solveFull solves the complete multiclass network and reads class 0's

@@ -84,6 +84,39 @@ func TestWorkspaceConcurrentSolves(t *testing.T) {
 	}
 }
 
+// TestSolveIgnoresPooledHistory: without WarmStart, a Model.Solve on a pooled
+// workspace answers the same, Iterations included, whatever the pool's
+// workspaces solved before.
+func TestSolveIgnoresPooledHistory(t *testing.T) {
+	model, err := Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := model.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range stressConfigs() {
+		other, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Solve(SolveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Solve(SolveOptions{WarmStart: true}); err != nil {
+			t.Fatal(err)
+		}
+		after, err := model.Solve(SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after != before {
+			t.Fatalf("after solving %+v: got %+v, want %+v", cfg, after, before)
+		}
+	}
+}
+
 // TestWorkspaceReuseMatchesFresh solves a shrinking, then growing, sequence of
 // models on one workspace and checks each against a fresh solve — catching any
 // stale state left in oversized reused buffers.

@@ -6,13 +6,19 @@ import (
 )
 
 // BatchOptions tunes a batch solve. The zero value selects the same defaults
-// as the scalar solver: Tolerance DefaultTolerance, MaxIterations
-// DefaultMaxIterations. The convergence test is the scalar solver's raw
+// as ApproxMultiClass: Tolerance DefaultTolerance, MaxIterations
+// DefaultMaxIterations, no warm start. The convergence test is the raw
 // residual ‖G(n) − n‖∞ < Tolerance, applied per lane, so every lane lands on
-// the identical fixed point the scalar Bard–Schweitzer iteration would reach.
+// the identical fixed point the plain Bard–Schweitzer iteration would reach.
 type BatchOptions struct {
 	Tolerance     float64
 	MaxIterations int
+	// WarmStart seeds every lane from the last converged lane of the
+	// workspace's previous Run when the station count matches (mirroring
+	// AMVAOptions.WarmStart). Without it a Run starts cold and its results,
+	// iteration counts included, do not depend on what the workspace solved
+	// before.
+	WarmStart bool
 }
 
 // BatchWorkspace iterates the Bard–Schweitzer fixed point (the paper's
@@ -25,9 +31,9 @@ type BatchOptions struct {
 //
 // Layout is struct-of-arrays, station-major and lane-minor: the iterate of
 // station i in lane b lives at q[i*B+b], so each inner loop walks B adjacent
-// elements with no per-lane indirection — the flat row-major layout the
-// scalar Workspace established, widened by one lane axis. Residence times use
-// the precomputed two-coefficient form
+// elements with no per-lane indirection — the flat row-major layout of
+// Workspace, widened by one lane axis. Residence times use the precomputed
+// two-coefficient form
 //
 //	w = (s/srv)·seen + s
 //
@@ -62,15 +68,18 @@ type BatchOptions struct {
 // Acceleration only moves the point the next sweep is evaluated at — the map
 // and the raw-residual stopping test are unchanged, so the fixed point is
 // exactly the plain iteration's. A lane whose μ estimate is not a contraction
-// or whose extrapolant leaves [0, population] takes the plain step instead.
+// or whose extrapolant leaves [0, population] takes the plain step instead,
+// and so does a lane whose leg-2 residual is not the smallest it has reached
+// (the stall guard: without it a lane seeded near its fixed point can cycle
+// between extrapolants that never converge).
 //
 // Seeding implements shared warm-start continuation. On a cold batch, the
-// first healthy lane is pilot-solved alone (a strided scalar loop — the wide
-// loops never run with a single live lane) and its converged solution seeds
-// every other lane. Across Run calls the workspace keeps the last converged
-// lane's solution and, when the next batch has the same station count, seeds
-// all of its lanes from it — the batched analogue of the scalar WarmStart
-// contract.
+// first healthy lane is pilot-solved alone (a strided loop — the wide loops
+// never run with a single live lane) and its converged solution seeds every
+// other lane. Every Run keeps its last converged lane's solution; with
+// BatchOptions.WarmStart the next Run of the same station count seeds all of
+// its lanes from it instead of running a pilot — the batched analogue of
+// AMVAOptions.WarmStart.
 //
 // The zero value is ready to use. A BatchWorkspace may be used by one
 // goroutine at a time; Run performs no allocations in steady state (error
@@ -99,6 +108,7 @@ type BatchWorkspace struct {
 	invPop     []float64
 	maxDelta   []float64
 	r1r1, r1r2 []float64 // per-lane Aitken residual projections
+	leg2Min    []float64 // per-lane smallest leg-2 residual so far (the stall guard)
 	lane       []int     // packed slot → original lane
 	slot       []int     // original lane → packed slot
 	iters      []int
@@ -145,6 +155,7 @@ func (ws *BatchWorkspace) Reset(lanes, stations, groups int) {
 	ws.maxDelta = resizeF(ws.maxDelta, lanes)
 	ws.r1r1 = resizeF(ws.r1r1, lanes)
 	ws.r1r2 = resizeF(ws.r1r2, lanes)
+	ws.leg2Min = resizeF(ws.leg2Min, lanes)
 	ws.lane = resizeInt(ws.lane, lanes)
 	ws.slot = resizeInt(ws.slot, lanes)
 	ws.iters = resizeInt(ws.iters, lanes)
@@ -197,8 +208,8 @@ func (ws *BatchWorkspace) Lanes() int { return ws.lanes }
 // nil.
 func (ws *BatchWorkspace) Lambda(b int) float64 { return ws.lambda[ws.slot[b]] }
 
-// Residence returns the converged residence time of station i in lane b
-// (the scalar solver's w vector). Defined only when Err(b) is nil.
+// Residence returns the converged residence time of station i in lane b.
+// Defined only when Err(b) is nil.
 func (ws *BatchWorkspace) Residence(i, b int) float64 { return ws.w[i*ws.lanes+ws.slot[b]] }
 
 // Visit returns the visit ratio of station i in lane b as loaded by Set.
@@ -281,14 +292,14 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 		ws.w[i] = 0
 	}
 
-	warm := ws.warmOK && ws.warmN == n
+	warm := opts.WarmStart && ws.warmOK && ws.warmN == n
 	// The iterate is in flux until this batch completes; a failed Run must
 	// not seed the next one.
 	ws.warmOK = false
 	pilot := -1
 	if warm {
-		// Continuation across batches: every lane starts from the previous
-		// batch\'s last converged solution.
+		// Continuation across batches (BatchOptions.WarmStart): every lane
+		// starts from the previous batch's last converged solution.
 		for i := 0; i < n; i++ {
 			v := ws.warmQ[i]
 			row := ws.q[i*B : (i+1)*B]
@@ -322,9 +333,9 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 			}
 		}
 	}
-	// A lane\'s unvisited stations must read as zero regardless of the seed
+	// A lane's unvisited stations must read as zero regardless of the seed
 	// (their update is identically zero; zeroing keeps the first residence
-	// times sane, matching the scalar warm-start path).
+	// times sane).
 	for i := 0; i < n; i++ {
 		row := ws.q[i*B : (i+1)*B]
 		ev := ws.e[i*B : (i+1)*B]
@@ -349,7 +360,7 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 
 	ws.iterate(tol, maxIter, live)
 
-	// Save the last converged lane as the next batch\'s continuation seed.
+	// Save the last converged lane as the next batch's continuation seed.
 	for b := B - 1; b >= 0; b-- {
 		if ws.errs[b] != nil {
 			continue
@@ -368,9 +379,9 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 // by swapping columns c and live-1 across every per-lane buffer (group totals
 // included — they persist between iterations now that their accumulation is
 // fused into the update passes) and updating the lane↔slot permutation; it returns the shrunk live count. Retired
-// columns sit untouched behind the window with the lane\'s published q, w and
+// columns sit untouched behind the window with the lane's published q, w and
 // λ, read back through the permutation by the accessors. iters and errs stay
-// indexed by the caller\'s lane numbers and never move.
+// indexed by the caller's lane numbers and never move.
 func (ws *BatchWorkspace) retire(c, live int) int {
 	d := live - 1
 	if c != d {
@@ -409,6 +420,7 @@ func (ws *BatchWorkspace) retire(c, live int) int {
 		ws.maxDelta[c], ws.maxDelta[d] = ws.maxDelta[d], ws.maxDelta[c]
 		ws.r1r1[c], ws.r1r1[d] = ws.r1r1[d], ws.r1r1[c]
 		ws.r1r2[c], ws.r1r2[d] = ws.r1r2[d], ws.r1r2[c]
+		ws.leg2Min[c], ws.leg2Min[d] = ws.leg2Min[d], ws.leg2Min[c]
 		lc, ld := ws.lane[c], ws.lane[d]
 		ws.lane[c], ws.lane[d] = ld, lc
 		ws.slot[lc], ws.slot[ld] = d, c
@@ -416,8 +428,8 @@ func (ws *BatchWorkspace) retire(c, live int) int {
 	return d
 }
 
-// seedUniform spreads lane b\'s population uniformly over its visited
-// physical stations (the scalar solvers\' cold initial guess, weights
+// seedUniform spreads lane b's population uniformly over its visited
+// physical stations (ApproxMultiClass's cold initial guess, weights
 // counted).
 func (ws *BatchWorkspace) seedUniform(b int) {
 	B, n := ws.lanes, ws.stations
@@ -527,6 +539,10 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 	r12 := ws.r1r2
 	sa := ws.sAcc
 	totA, totB := ws.groupTot, ws.groupTot2
+	leg2Min := ws.leg2Min
+	for b := range leg2Min[:live] {
+		leg2Min[b] = math.Inf(1)
+	}
 
 	// Group totals and S moment of the seed; every later pass folds the
 	// accumulation of the point it publishes into the same sweep.
@@ -554,9 +570,9 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 	}
 	for iter := 0; iter < maxIter && live > 0; iter++ {
 		// Steps 2b–3 collapsed to per-lane scalars: cycle time from the
-		// regrouped form, with the scalar solver\'s degeneracy guard applied
-		// per lane — a failing lane retires before the update, so no NaN
-		// ever enters a live column.
+		// regrouped form, with a degeneracy guard applied per lane — a
+		// failing lane retires before the update, so no NaN ever enters a
+		// live column.
 		for c := 0; c < live; {
 			cycle := ws.ems[c] - sa[c]*inv[c]
 			for g := 0; g < ws.groups; g++ {
@@ -662,7 +678,12 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 		// Converged lanes materialize w(x), publish g and retire; survivors
 		// pick their factor fac = μ/(1−μ), with NaN marking "take the plain
 		// step" (r1r1 is reused as the factor and r1r2, re-zeroed here, as
-		// the feasibility flag below).
+		// the feasibility flag below). The stall guard: a lane extrapolates
+		// only when its leg-2 residual is the smallest it has reached.
+		// Otherwise the last extrapolant set it back, and extrapolating again
+		// from there can cycle forever (seen on lanes seeded near a
+		// neighbour's fixed point); plain steps then run until the residual
+		// reaches a new minimum.
 		for c := 0; c < live; {
 			ws.iters[ws.lane[c]]++
 			if md[c] < tol {
@@ -674,11 +695,12 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 				continue
 			}
 			fac := math.NaN()
-			if rr := r11[c]; rr > 0 {
+			if rr := r11[c]; md[c] < leg2Min[c] && rr > 0 {
 				if mu := r12[c] / rr; mu > -1 && mu < 1 {
 					fac = mu / (1 - mu)
 				}
 			}
+			leg2Min[c] = min(leg2Min[c], md[c])
 			r11[c] = fac
 			r12[c] = 0
 			c++
@@ -717,8 +739,8 @@ func (ws *BatchWorkspace) iterate(tol float64, maxIter int, live int) {
 			}
 		}
 		// Repair flagged lanes column-wise: republish the plain step g and
-		// rebuild the lane\'s totals and S from scratch (a NaN candidate has
-		// poisoned them, so incremental patching won\'t do). The safeguard
+		// rebuild the lane's totals and S from scratch (a NaN candidate has
+		// poisoned them, so incremental patching won't do). The safeguard
 		// trips on few lanes past the first sweeps, so the strided repair is
 		// far cheaper than a separate candidate pass.
 		for c := 0; c < live; c++ {

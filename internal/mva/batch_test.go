@@ -108,9 +108,9 @@ func TestBatchMatchesScalarSingleClass(t *testing.T) {
 	}
 }
 
-// TestBatchWarmContinuation reruns an identical batch: the warm seed (the
-// previous batch's converged solution) must not change the fixed point and
-// must converge in fewer total iterations than the cold run.
+// TestBatchWarmContinuation reruns an identical batch with WarmStart: the
+// warm seed (the previous batch's converged solution) must not change the
+// fixed point and must converge in fewer total iterations than the cold run.
 func TestBatchWarmContinuation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const B, n = 9, 5
@@ -132,7 +132,7 @@ func TestBatchWarmContinuation(t *testing.T) {
 	}
 
 	fillBatch(&bw, lanes)
-	bw.Run(BatchOptions{})
+	bw.Run(BatchOptions{WarmStart: true})
 	warmIters := 0
 	for b := 0; b < B; b++ {
 		if err := bw.Err(b); err != nil {
@@ -145,6 +145,40 @@ func TestBatchWarmContinuation(t *testing.T) {
 	}
 	if warmIters >= coldIters {
 		t.Errorf("warm run took %d total iterations, cold took %d; want fewer", warmIters, coldIters)
+	}
+}
+
+// TestBatchColdRunIgnoresHistory runs a batch without WarmStart on a
+// workspace that just converged a same-shape batch: every lane must match a
+// fresh workspace's run bit for bit, iterations included.
+func TestBatchColdRunIgnoresHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const B, n = 6, 5
+	before, lanes := make([]batchLane, B), make([]batchLane, B)
+	for b := range lanes {
+		before[b] = randomBatchLane(rng, n)
+		lanes[b] = randomBatchLane(rng, n)
+	}
+	var used, fresh BatchWorkspace
+	fillBatch(&used, before)
+	used.Run(BatchOptions{})
+	fillBatch(&used, lanes)
+	used.Run(BatchOptions{})
+	fillBatch(&fresh, lanes)
+	fresh.Run(BatchOptions{})
+	for b := 0; b < B; b++ {
+		if used.Err(b) != nil || fresh.Err(b) != nil {
+			t.Fatalf("lane %d: used err %v, fresh err %v", b, used.Err(b), fresh.Err(b))
+		}
+		if used.Iterations(b) != fresh.Iterations(b) || used.Lambda(b) != fresh.Lambda(b) {
+			t.Errorf("lane %d: used (%d iters, λ=%v), fresh (%d iters, λ=%v)",
+				b, used.Iterations(b), used.Lambda(b), fresh.Iterations(b), fresh.Lambda(b))
+		}
+		for i := 0; i < n; i++ {
+			if used.Residence(i, b) != fresh.Residence(i, b) {
+				t.Errorf("lane %d station %d: used w=%v fresh w=%v", b, i, used.Residence(i, b), fresh.Residence(i, b))
+			}
+		}
 	}
 }
 

@@ -110,6 +110,7 @@ func (g *Grid) refineCell(cell int, opts BuildOptions) (*overlay, error) {
 	results := mms.SolveBatch(items[:], mms.SolveOptions{
 		Tolerance:     opts.Tolerance,
 		MaxIterations: opts.MaxIterations,
+		WarmStart:     true,
 		Workspace:     new(mms.Workspace),
 	})
 	ov := new(overlay)

@@ -299,6 +299,7 @@ func Build(spec Spec, opts BuildOptions) (*Grid, error) {
 	results := mms.SolveBatch(items, mms.SolveOptions{
 		Tolerance:     opts.Tolerance,
 		MaxIterations: opts.MaxIterations,
+		WarmStart:     true,
 		Workspace:     new(mms.Workspace),
 	})
 	g := &Grid{spec: spec, vals: make([]float64, n*numFields)}
