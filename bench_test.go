@@ -357,9 +357,9 @@ func BenchmarkReplicate(b *testing.B) {
 // ---- Warm-start and acceleration (DESIGN.md §12) ---------------------------
 
 // figure4SnakeModels prebuilds the Figure 4 operating grid (R = 10,
-// n_t = 1..10 × p_remote = 0.05..0.90) in snake order — the traversal the
-// sweep runner hands a warm-starting worker — so the benchmark measures
-// solving only, not model construction.
+// n_t = 1..10 × p_remote = 0.05..0.90) in snake order, so consecutive
+// points are grid neighbours, and the benchmark measures solving only, not
+// model construction.
 func figure4SnakeModels(b *testing.B) []*mms.Model {
 	b.Helper()
 	var models []*mms.Model

@@ -96,7 +96,10 @@ func main() {
 		header := fmt.Sprintf("==== %s: %s ", e.ID, e.Title)
 		fmt.Println(header + strings.Repeat("=", max(0, 78-len(header))))
 		fmt.Print(out)
-		fmt.Printf("(%s rendered in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		// Timing goes to stderr so stdout is reproducible byte for byte
+		// (docs/sample-output.txt is checked against it).
+		fmt.Fprintf(os.Stderr, "(%s rendered in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if !found {
 		fmt.Fprintf(os.Stderr, "paperfigs: no exhibit %q; use -list\n", *only)

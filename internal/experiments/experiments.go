@@ -10,13 +10,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
+	"lattol/internal/eval"
 	"lattol/internal/mms"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
-	"lattol/internal/tolerance"
 )
 
 // progress holds the optional live-progress callback shared by every sweep
@@ -24,9 +25,11 @@ import (
 var progress atomic.Pointer[func(done, total int)]
 
 // SetProgress installs fn as the callback invoked after every finished
-// sweep point of every driver, with the finished count and the point total
-// of the current sweep. nil uninstalls it. Calls are serialized by the
-// sweep runner; fn must not block.
+// point of the drivers that run point by point on the sweep runner (Table 2,
+// Figures 9–11 and the simulation studies), with the finished count and the
+// point total of the current sweep. The analytical surfaces and tables are
+// one lockstep batch each and report no progress. nil uninstalls it. Calls
+// are serialized by the sweep runner; fn must not block.
 func SetProgress(fn func(done, total int)) {
 	if fn == nil {
 		progress.Store(nil)
@@ -169,20 +172,25 @@ func DefaultConfigTable() *report.Table {
 	return t
 }
 
-// solveWithTol returns the metrics of cfg plus tol_network (ZeroRemote
-// ideal, the paper's preferred measurement mode) and tol_memory (ZeroDelay).
-func solveWithTol(cfg mms.Config) (mms.Metrics, float64, float64, error) {
-	met, err := mms.Solve(cfg)
-	if err != nil {
-		return mms.Metrics{}, 0, 0, err
+// solveBatch evaluates every configuration as one lockstep batch
+// (eval.Solver.EvaluateBatch) with the tolerance indices opts requests, so
+// each real system is solved once however many indices a point needs. The
+// exhibits are all-or-nothing: the first failing point fails the call.
+func solveBatch(cfgs []mms.Config, opts eval.Options) ([]eval.Metrics, error) {
+	in := make([]eval.Config, len(cfgs))
+	for i := range cfgs {
+		in[i].Model = cfgs[i]
 	}
-	netIdx, err := tolerance.NetworkIndex(cfg)
-	if err != nil {
-		return mms.Metrics{}, 0, 0, err
+	out := make([]eval.Outcome, len(cfgs))
+	eval.NewSolver().EvaluateBatch(context.Background(), in, opts, out)
+	mets := make([]eval.Metrics, len(cfgs))
+	for i, o := range out {
+		if o.Err != nil {
+			c := cfgs[i]
+			return nil, fmt.Errorf("point %d (k=%d n_t=%d R=%g L=%g p_remote=%g): %w",
+				i, c.K, c.Threads, c.Runlength, c.MemoryTime, c.PRemote, o.Err)
+		}
+		mets[i] = o.Metrics
 	}
-	memIdx, err := tolerance.MemoryIndex(cfg)
-	if err != nil {
-		return mms.Metrics{}, 0, 0, err
-	}
-	return met, netIdx.Tol, memIdx.Tol, nil
+	return mets, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lattol/internal/eval"
 	"lattol/internal/mms"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
@@ -45,47 +46,28 @@ func Figure5() (*WorkloadSurfaces, error) { return workloadSurfaces(20) }
 func workloadSurfaces(r float64) (*WorkloadSurfaces, error) {
 	threads, ps := workloadGrid()
 	w := &WorkloadSurfaces{Runlength: r, Threads: threads, PRemote: ps}
-	type cell struct{ up, sobs, lnet, tol float64 }
-	// Each sweep worker owns one solver workspace, reused across all its
-	// grid cells (and inside tolerance.Compute's real + ideal solves). The
-	// snake traversal hands every worker a contiguous path of adjacent
-	// operating points, so each warm-started solve continues from its
-	// neighbor's converged solution when the station shape matches.
-	opts := sweepOptions()
-	opts.Traversal = sweep.Snake
-	z, err := sweep.Grid2DCtxWithWorker(context.Background(), ps, threads, opts,
-		func() *mms.Workspace { return new(mms.Workspace) },
-		func(ws *mms.Workspace, p float64, nt int) (cell, error) {
+	var cfgs []mms.Config
+	for _, nt := range threads {
+		for _, p := range ps {
 			cfg := mms.DefaultConfig()
 			cfg.Runlength = r
 			cfg.Threads = nt
 			cfg.PRemote = p
-			solveOpts := mms.SolveOptions{Workspace: ws, WarmStart: true}
-			model, err := mms.Build(cfg)
-			if err != nil {
-				return cell{}, err
-			}
-			met, err := model.Solve(solveOpts)
-			if err != nil {
-				return cell{}, err
-			}
-			idx, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroRemote, solveOpts)
-			if err != nil {
-				return cell{}, err
-			}
-			return cell{up: met.Up, sobs: met.SObs, lnet: met.LambdaNet, tol: idx.Tol}, nil
-		})
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	mets, err := solveBatch(cfgs, eval.Options{TolNetwork: true})
 	if err != nil {
 		return nil, err
 	}
 	for ti := range threads {
-		row := z[ti]
+		row := mets[ti*len(ps) : (ti+1)*len(ps)]
 		up := make([]float64, len(ps))
 		so := make([]float64, len(ps))
 		ln := make([]float64, len(ps))
 		tl := make([]float64, len(ps))
-		for pi := range ps {
-			up[pi], so[pi], ln[pi], tl[pi] = row[pi].up, row[pi].sobs, row[pi].lnet, row[pi].tol
+		for pi, m := range row {
+			up[pi], so[pi], ln[pi], tl[pi] = m.Up, m.SObs, m.LambdaNet, m.TolNetwork
 		}
 		w.Up = append(w.Up, up)
 		w.SObs = append(w.SObs, so)

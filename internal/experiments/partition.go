@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
+	"lattol/internal/eval"
 	"lattol/internal/mms"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
-	"lattol/internal/tolerance"
 )
 
 // TolSurfaces holds tol_network (Figure 6) or tol_memory (Figure 8) over the
@@ -30,47 +29,50 @@ func partitionGrid() ([]int, []float64) {
 
 // Figure6 computes tol_network over n_t × R for p_remote ∈ {0.2, 0.4}.
 func Figure6() (*TolSurfaces, error) {
-	threads, runs := partitionGrid()
-	out := &TolSurfaces{
-		Metric: "tol_network", Secondary: "p_remote",
-		Values: []float64{0.2, 0.4}, Threads: threads, Runs: runs,
-	}
-	for _, p := range out.Values {
-		z, err := sweep.Grid2DCtx(context.Background(), runs, threads, sweepOptions(), func(r float64, nt int) (float64, error) {
-			cfg := mms.DefaultConfig()
-			cfg.Runlength = r
-			cfg.Threads = nt
-			cfg.PRemote = p
-			idx, err := tolerance.NetworkIndex(cfg)
-			return idx.Tol, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Z = append(out.Z, z)
-	}
-	return out, nil
+	return tolSurfaces("tol_network", "p_remote", []float64{0.2, 0.4}, eval.Options{TolNetwork: true},
+		func(cfg *mms.Config, p float64) { cfg.PRemote = p })
 }
 
 // Figure8 computes tol_memory over n_t × R for L ∈ {10, 20} at
 // p_remote = 0.2.
 func Figure8() (*TolSurfaces, error) {
+	return tolSurfaces("tol_memory", "L", []float64{10, 20}, eval.Options{TolMemory: true},
+		func(cfg *mms.Config, l float64) { cfg.MemoryTime = l })
+}
+
+// tolSurfaces solves the n_t × R grid at every secondary value (applied to
+// the configuration by set) as one batch and keeps the one tolerance index
+// opts requests.
+func tolSurfaces(metric, secondary string, values []float64, opts eval.Options, set func(*mms.Config, float64)) (*TolSurfaces, error) {
 	threads, runs := partitionGrid()
-	out := &TolSurfaces{
-		Metric: "tol_memory", Secondary: "L",
-		Values: []float64{10, 20}, Threads: threads, Runs: runs,
+	out := &TolSurfaces{Metric: metric, Secondary: secondary, Values: values, Threads: threads, Runs: runs}
+	var cfgs []mms.Config
+	for _, v := range values {
+		for _, nt := range threads {
+			for _, r := range runs {
+				cfg := mms.DefaultConfig()
+				cfg.Runlength = r
+				cfg.Threads = nt
+				set(&cfg, v)
+				cfgs = append(cfgs, cfg)
+			}
+		}
 	}
-	for _, l := range out.Values {
-		z, err := sweep.Grid2DCtx(context.Background(), runs, threads, sweepOptions(), func(r float64, nt int) (float64, error) {
-			cfg := mms.DefaultConfig()
-			cfg.Runlength = r
-			cfg.Threads = nt
-			cfg.MemoryTime = l
-			idx, err := tolerance.MemoryIndex(cfg)
-			return idx.Tol, err
-		})
-		if err != nil {
-			return nil, err
+	mets, err := solveBatch(cfgs, opts)
+	if err != nil {
+		return nil, err
+	}
+	for range values {
+		z := make([][]float64, len(threads))
+		for ti := range z {
+			z[ti] = make([]float64, len(runs))
+			for ri := range runs {
+				z[ti][ri] = mets[0].TolNetwork
+				if opts.TolMemory {
+					z[ti][ri] = mets[0].TolMemory
+				}
+				mets = mets[1:]
+			}
 		}
 		out.Z = append(out.Z, z)
 	}
@@ -114,27 +116,30 @@ func Figure7() (*PartitionCurves, error) {
 		PRemote: []float64{0.2, 0.4},
 		Works:   []int{20, 40, 60, 80, 100},
 	}
+	var cfgs []mms.Config
 	for _, p := range out.PRemote {
+		for _, work := range out.Works {
+			for _, sp := range workSplits(work) {
+				cfg := mms.DefaultConfig()
+				cfg.Threads = sp[0]
+				cfg.Runlength = float64(sp[1])
+				cfg.PRemote = p
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	mets, err := solveBatch(cfgs, eval.Options{TolNetwork: true})
+	if err != nil {
+		return nil, err
+	}
+	for range out.PRemote {
 		var curves []report.Series
 		for _, work := range out.Works {
-			splits := workSplits(work)
-			tols, err := sweep.RunWithWorker(context.Background(), splits, sweepOptions(),
-				func() *mms.Workspace { return new(mms.Workspace) },
-				func(ws *mms.Workspace, s [2]int) (float64, error) {
-					cfg := mms.DefaultConfig()
-					cfg.Threads = s[0]
-					cfg.Runlength = float64(s[1])
-					cfg.PRemote = p
-					idx, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroRemote, mms.SolveOptions{Workspace: ws})
-					return idx.Tol, err
-				})
-			if err != nil {
-				return nil, err
-			}
 			series := report.Series{Name: fmt.Sprintf("n_t x R = %d", work)}
-			for i, s := range splits {
-				series.X = append(series.X, float64(s[1]))
-				series.Y = append(series.Y, tols[i])
+			for _, sp := range workSplits(work) {
+				series.X = append(series.X, float64(sp[1]))
+				series.Y = append(series.Y, mets[0].TolNetwork)
+				mets = mets[1:]
 			}
 			curves = append(curves, series)
 		}
@@ -192,79 +197,59 @@ type PartitionTable struct {
 // Table3 reproduces the thread-partitioning rows with n_t·R = 40 at
 // p_remote ∈ {0.2, 0.4}.
 func Table3() (*PartitionTable, error) {
-	out := &PartitionTable{
-		Title:   "Table 3: thread partitioning (n_t·R = 40) and network latency tolerance",
-		Columns: []string{"p_remote", "n_t", "R", "L_obs", "S_obs", "lambda_net", "U_p", "tol_network"},
-	}
-	type pt struct {
-		p     float64
-		split [2]int
-	}
-	var pts []pt
-	for _, p := range []float64{0.2, 0.4} {
-		for _, s := range workSplits(40) {
-			pts = append(pts, pt{p, s})
-		}
-	}
-	rows, err := sweep.Run(context.Background(), pts, sweepOptions(), func(c pt) (PartitionRow, error) {
-		cfg := mms.DefaultConfig()
-		cfg.PRemote = c.p
-		cfg.Threads = c.split[0]
-		cfg.Runlength = float64(c.split[1])
-		met, tolNet, tolMem, err := solveWithTol(cfg)
-		if err != nil {
-			return PartitionRow{}, err
-		}
-		return PartitionRow{
-			PRemote: c.p, L: cfg.MemoryTime, Threads: c.split[0], R: float64(c.split[1]),
-			LObs: met.LObs, SObs: met.SObs, LamNet: met.LambdaNet,
-			Up: met.Up, TolNet: tolNet, TolMem: tolMem,
-		}, nil
-	})
+	rows, err := partitionRows([]float64{0.2, 0.4}, func(cfg *mms.Config, p float64) { cfg.PRemote = p })
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
-	return out, nil
+	return &PartitionTable{
+		Title:   "Table 3: thread partitioning (n_t·R = 40) and network latency tolerance",
+		Columns: []string{"p_remote", "n_t", "R", "L_obs", "S_obs", "lambda_net", "U_p", "tol_network"},
+		Rows:    rows,
+	}, nil
 }
 
 // Table4 reproduces the memory-latency-tolerance rows with n_t·R = 40,
 // p_remote = 0.2, L ∈ {10, 20}.
 func Table4() (*PartitionTable, error) {
-	out := &PartitionTable{
-		Title:   "Table 4: thread partitioning (n_t·R = 40) and memory latency tolerance, p_remote = 0.2",
-		Columns: []string{"L", "n_t", "R", "L_obs", "S_obs", "U_p", "tol_memory"},
-	}
-	type pt struct {
-		l     float64
-		split [2]int
-	}
-	var pts []pt
-	for _, l := range []float64{10, 20} {
-		for _, s := range workSplits(40) {
-			pts = append(pts, pt{l, s})
-		}
-	}
-	rows, err := sweep.Run(context.Background(), pts, sweepOptions(), func(c pt) (PartitionRow, error) {
-		cfg := mms.DefaultConfig()
-		cfg.MemoryTime = c.l
-		cfg.Threads = c.split[0]
-		cfg.Runlength = float64(c.split[1])
-		met, tolNet, tolMem, err := solveWithTol(cfg)
-		if err != nil {
-			return PartitionRow{}, err
-		}
-		return PartitionRow{
-			PRemote: cfg.PRemote, L: c.l, Threads: c.split[0], R: float64(c.split[1]),
-			LObs: met.LObs, SObs: met.SObs, LamNet: met.LambdaNet,
-			Up: met.Up, TolNet: tolNet, TolMem: tolMem,
-		}, nil
-	})
+	rows, err := partitionRows([]float64{10, 20}, func(cfg *mms.Config, l float64) { cfg.MemoryTime = l })
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
-	return out, nil
+	return &PartitionTable{
+		Title:   "Table 4: thread partitioning (n_t·R = 40) and memory latency tolerance, p_remote = 0.2",
+		Columns: []string{"L", "n_t", "R", "L_obs", "S_obs", "U_p", "tol_memory"},
+		Rows:    rows,
+	}, nil
+}
+
+// partitionRows solves every (n_t, R) split of n_t·R = 40 at every value
+// (applied to the configuration by set) as one batch with both tolerance
+// indices.
+func partitionRows(values []float64, set func(*mms.Config, float64)) ([]PartitionRow, error) {
+	var cfgs []mms.Config
+	for _, v := range values {
+		for _, sp := range workSplits(40) {
+			cfg := mms.DefaultConfig()
+			cfg.Threads = sp[0]
+			cfg.Runlength = float64(sp[1])
+			set(&cfg, v)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	mets, err := solveBatch(cfgs, eval.Options{TolNetwork: true, TolMemory: true})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]PartitionRow, len(cfgs))
+	for i, cfg := range cfgs {
+		m := mets[i]
+		rows[i] = PartitionRow{
+			PRemote: cfg.PRemote, L: cfg.MemoryTime, Threads: cfg.Threads, R: cfg.Runlength,
+			LObs: m.LObs, SObs: m.SObs, LamNet: m.LambdaNet,
+			Up: m.Up, TolNet: m.TolNetwork, TolMem: m.TolMemory,
+		}
+	}
+	return rows, nil
 }
 
 // Render prints the table.

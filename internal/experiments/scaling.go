@@ -51,23 +51,23 @@ func Figure9() (*ScalingCurves, error) {
 			}
 		}
 	}
-	tols, err := sweep.RunWithWorker(context.Background(), pts, sweepOptions(),
-		func() *mms.Workspace { return new(mms.Workspace) },
-		func(ws *mms.Workspace, p point) (float64, error) {
-			cfg := mms.DefaultConfig()
-			cfg.Runlength = p.r
-			cfg.K = p.k
-			cfg.Threads = p.nt
-			if p.uniform {
-				u, err := access.NewUniform(topology.MustTorus(p.k))
-				if err != nil {
-					return 0, err
-				}
-				cfg.Pattern = u
+	// The ZeroDelay network ideal is not an eval.Options index, so each
+	// point solves its own pair of systems.
+	tols, err := sweep.Run(context.Background(), pts, sweepOptions(), func(p point) (float64, error) {
+		cfg := mms.DefaultConfig()
+		cfg.Runlength = p.r
+		cfg.K = p.k
+		cfg.Threads = p.nt
+		if p.uniform {
+			u, err := access.NewUniform(topology.MustTorus(p.k))
+			if err != nil {
+				return 0, err
 			}
-			idx, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroDelay, mms.SolveOptions{Workspace: ws})
-			return idx.Tol, err
-		})
+			cfg.Pattern = u
+		}
+		idx, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroDelay, mms.SolveOptions{})
+		return idx.Tol, err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,10 @@ import (
 
 // Workspace holds the reusable scratch buffers of the model solvers: the
 // lockstep batch kernel that runs every symmetric-AMVA solve (Model.Solve is
-// a one-lane batch) and an mva.Workspace for the multiclass solvers. Sweeps
-// that solve many configurations reuse one workspace per worker (see
-// sweep.RunWithWorker) so the steady-state solve loop performs no per-call
-// allocations.
+// a one-lane batch) and an mva.Workspace for the multiclass solvers. A
+// long-lived solver (a serving pool worker, an eval.Solver) keeps one
+// workspace and reuses it for every solve or batch, so the steady-state
+// solve loop performs no per-call allocations.
 //
 // Reuse contract: a Workspace may be used by one goroutine at a time. Every
 // solve overwrites the buffers in place; the Metrics returned by Model.Solve

@@ -2,6 +2,7 @@ package mms
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"lattol/internal/sweep"
@@ -25,7 +26,7 @@ func stressConfigs() []Config {
 	return cfgs
 }
 
-// TestWorkspaceConcurrentSolves hammers the workspace pool and per-worker
+// TestWorkspaceConcurrentSolves hammers the workspace pool and per-goroutine
 // workspaces from many goroutines at once (run under -race in CI) and checks
 // every concurrent result is bit-identical to a fresh sequential solve.
 func TestWorkspaceConcurrentSolves(t *testing.T) {
@@ -52,24 +53,37 @@ func TestWorkspaceConcurrentSolves(t *testing.T) {
 			}
 			return model.Solve(SolveOptions{Solver: solver, Workspace: ws})
 		}
-		opts := sweep.Options{Workers: 8}
+		const workers = 8
 
-		// Parallel path 1: one explicit workspace per sweep worker.
-		got, err := sweep.RunWithWorker(context.Background(), cfgs, opts,
-			func() *Workspace { return new(Workspace) }, solve)
-		if err != nil {
-			t.Fatalf("%v: RunWithWorker: %v", solver, err)
+		// Parallel path 1: one explicit workspace per goroutine, reused
+		// across every point that goroutine solves.
+		got := make([]Metrics, len(cfgs))
+		errs := make([]error, len(cfgs))
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ws := new(Workspace)
+				for i := w; i < len(cfgs); i += workers {
+					got[i], errs[i] = solve(ws, cfgs[i])
+				}
+			}(w)
 		}
+		wg.Wait()
 		for i := range cfgs {
+			if errs[i] != nil {
+				t.Fatalf("%v: per-goroutine workspace solve of %+v: %v", solver, cfgs[i], errs[i])
+			}
 			if got[i] != want[i] {
-				t.Errorf("%v: per-worker workspace solve diverged for %+v:\n got %+v\nwant %+v",
+				t.Errorf("%v: per-goroutine workspace solve diverged for %+v:\n got %+v\nwant %+v",
 					solver, cfgs[i], got[i], want[i])
 			}
 		}
 
 		// Parallel path 2: nil workspace, so every point borrows from the
 		// process-wide sync.Pool concurrently.
-		got, err = sweep.Run(context.Background(), cfgs, opts, func(cfg Config) (Metrics, error) {
+		got, err := sweep.Run(context.Background(), cfgs, sweep.Options{Workers: workers}, func(cfg Config) (Metrics, error) {
 			return solve(nil, cfg)
 		})
 		if err != nil {

@@ -9,7 +9,7 @@ import "lattol/internal/fixpoint"
 // Reuse contract:
 //
 //   - A Workspace may be used by one goroutine at a time. For concurrent
-//     sweeps give each worker its own Workspace (see sweep.RunWithWorker).
+//     solves give each goroutine its own Workspace.
 //   - The *Result returned by (*Workspace).ApproxMultiClass and
 //     (*Workspace).ExactMultiClass aliases the workspace's storage: it is
 //     valid until the next solve on the same workspace, which overwrites it

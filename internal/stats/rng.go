@@ -27,14 +27,16 @@ func NewRNG(seed int64) RNG {
 // consecutive SplitMix64 outputs, which are never all zero.
 func (r *RNG) Seed(seed int64) {
 	z := uint64(seed)
-	r.s0, z = splitmix64(z)
-	r.s1, z = splitmix64(z)
-	r.s2, z = splitmix64(z)
-	r.s3, _ = splitmix64(z)
+	r.s0, z = SplitMix64(z)
+	r.s1, z = SplitMix64(z)
+	r.s2, z = SplitMix64(z)
+	r.s3, _ = SplitMix64(z)
 }
 
-// splitmix64 advances the SplitMix64 state and returns (output, next state).
-func splitmix64(z uint64) (uint64, uint64) {
+// SplitMix64 advances the SplitMix64 state z and returns (output, next
+// state). The output is a cheap bijective mix of z whose bits are
+// decorrelated from its input bits; sweep.DeriveSeed uses it as a hash.
+func SplitMix64(z uint64) (uint64, uint64) {
 	z += 0x9e3779b97f4a7c15
 	x := z
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -1,5 +1,7 @@
 package sweep
 
+import "lattol/internal/stats"
+
 // DeriveSeed deterministically derives an independent RNG seed for one
 // sweep point from a base seed and the point's coordinates (e.g. its input
 // index, or the parameter values that identify it). Two points whose
@@ -8,24 +10,16 @@ package sweep
 // scheduling, so simulation sweeps stay bit-reproducible at any worker
 // count.
 //
-// Prefer additive ad-hoc schemes like base + i*100 + j*10 with this helper:
+// Prefer this helper to additive ad-hoc schemes like base + i*100 + j*10:
 // those collide as grids grow, silently correlating points that should be
 // statistically independent. To run paired (common-random-numbers)
 // comparisons, derive one seed from the shared coordinates and reuse it for
 // both variants.
 func DeriveSeed(base int64, parts ...int64) int64 {
-	x := mix64(uint64(base))
+	x, _ := stats.SplitMix64(uint64(base))
 	for _, p := range parts {
-		x = mix64(x ^ mix64(uint64(p)))
+		h, _ := stats.SplitMix64(uint64(p))
+		x, _ = stats.SplitMix64(x ^ h)
 	}
 	return int64(x)
-}
-
-// mix64 is the SplitMix64 finalizer: a cheap bijective mixer whose output
-// bits are decorrelated from its input bits.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -8,7 +8,7 @@
 // a context cancels scheduling promptly, and per-point failures are
 // aggregated with their input indices so a single bad point in a
 // multi-hundred-point campaign is locatable. Live progress is available
-// through Options.OnPoint and Options.Counters.
+// through Options.OnPoint.
 package sweep
 
 import (
@@ -18,22 +18,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
-	"time"
-)
-
-// Traversal selects the order in which Grid2D cells are enumerated.
-type Traversal int
-
-const (
-	// RowMajor enumerates cells row by row, each row left to right. Default.
-	RowMajor Traversal = iota
-	// Snake enumerates cells boustrophedon: even rows left to right, odd
-	// rows right to left, so consecutive cells are always grid-neighbors.
-	// Combined with Options.Chunk and a warm-starting solver, each worker
-	// walks a contiguous path of adjacent operating points and every solve
-	// continues from its neighbor's converged solution.
-	Snake
 )
 
 // Options configures a Run.
@@ -41,21 +25,6 @@ type Options struct {
 	// Workers bounds the number of points evaluated concurrently. <= 0
 	// selects GOMAXPROCS; values above len(inputs) are clamped.
 	Workers int
-
-	// Chunk is the number of consecutive inputs a worker claims at a time.
-	// <= 0 selects 1 (pure work-stealing, the best load balance). Larger
-	// chunks give each worker runs of consecutive inputs — what a
-	// warm-starting solver wants, since consecutive inputs of a continuation
-	// sweep are neighboring operating points — at the cost of coarser load
-	// balancing. Cancellation is still checked per point.
-	Chunk int
-
-	// Traversal selects the Grid2D cell enumeration order (ignored by the
-	// flat runners, whose callers fix the input order themselves). Snake
-	// keeps consecutive cells adjacent in the grid; Grid2DCtxWithWorker then
-	// defaults Chunk to one contiguous segment per worker so warm starts
-	// survive across its whole segment.
-	Traversal Traversal
 
 	// FailFast cancels the sweep as soon as any point fails: no further
 	// points are scheduled, in-flight points finish, and the returned error
@@ -69,34 +38,6 @@ type Options struct {
 	// state (e.g. a progress line) without its own locking; it must not
 	// block and must not call back into the same sweep.
 	OnPoint func(done, total int)
-
-	// Counters, when non-nil, is updated atomically while the sweep runs,
-	// so a monitoring goroutine can read live completed/failed counts and
-	// cumulative point wall-clock without synchronizing with the sweep.
-	Counters *Counters
-}
-
-// Counters exposes live atomic progress metrics of a running sweep.
-type Counters struct {
-	// Completed counts points that returned without error.
-	Completed atomic.Int64
-	// Failed counts points that returned an error or panicked.
-	Failed atomic.Int64
-	// PointNanos accumulates per-point wall-clock time in nanoseconds
-	// (summed across workers, so it exceeds elapsed time when parallel).
-	PointNanos atomic.Int64
-}
-
-// Done returns the number of finished points (completed + failed).
-func (c *Counters) Done() int64 { return c.Completed.Load() + c.Failed.Load() }
-
-// MeanPointTime returns the mean wall-clock time per finished point.
-func (c *Counters) MeanPointTime() time.Duration {
-	done := c.Done()
-	if done == 0 {
-		return 0
-	}
-	return time.Duration(c.PointNanos.Load() / done)
 }
 
 // PointError records the failure of one sweep point: its input index, a
@@ -154,18 +95,6 @@ func renderInput(v any) string {
 // context error. With Options.FailFast the first failing point cancels
 // scheduling the same way (without reporting a context error).
 func Run[In, Out any](ctx context.Context, inputs []In, opts Options, f func(In) (Out, error)) ([]Out, error) {
-	return RunWithWorker(ctx, inputs, opts,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, in In) (Out, error) { return f(in) })
-}
-
-// RunWithWorker is Run with per-worker state: newWorker runs once in each
-// worker goroutine (once total on the sequential path) and its value is
-// passed to every point that worker evaluates. Use it to hand each worker a
-// reusable resource — a solver workspace, a simulation scratch buffer — that
-// is repeatedly overwritten without synchronization or per-point allocation.
-// Failure, cancellation and progress semantics are exactly those of Run.
-func RunWithWorker[W, In, Out any](ctx context.Context, inputs []In, opts Options, newWorker func() W, f func(W, In) (Out, error)) ([]Out, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -189,18 +118,8 @@ func RunWithWorker[W, In, Out any](ctx context.Context, inputs []In, opts Option
 
 	var mu sync.Mutex // serializes finished-count updates and OnPoint calls
 	finished := 0
-	runPoint := func(w W, i int) {
-		start := time.Now()
-		out[i], errs[i] = safeCall(w, f, inputs[i])
-		elapsed := time.Since(start)
-		if c := opts.Counters; c != nil {
-			if errs[i] != nil {
-				c.Failed.Add(1)
-			} else {
-				c.Completed.Add(1)
-			}
-			c.PointNanos.Add(int64(elapsed))
-		}
+	runPoint := func(i int) {
+		out[i], errs[i] = safeCall(f, inputs[i])
 		if errs[i] != nil && cancel != nil {
 			cancel()
 		}
@@ -213,44 +132,31 @@ func RunWithWorker[W, In, Out any](ctx context.Context, inputs []In, opts Option
 	}
 
 	if workers <= 1 {
-		w := newWorker()
 		for i := range inputs {
 			if runCtx.Err() != nil {
 				break
 			}
-			runPoint(w, i)
+			runPoint(i)
 		}
 	} else {
-		chunk := opts.Chunk
-		if chunk <= 0 {
-			chunk = 1
-		}
-		type span struct{ start, end int }
 		var wg sync.WaitGroup
-		next := make(chan span)
+		next := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := newWorker()
-				for sp := range next {
-					for i := sp.start; i < sp.end; i++ {
-						if runCtx.Err() != nil {
-							break // drain promptly after cancellation
-						}
-						runPoint(ws, i)
+				for i := range next {
+					if runCtx.Err() != nil {
+						continue // drain promptly after cancellation
 					}
+					runPoint(i)
 				}
 			}()
 		}
 	producer:
-		for i := 0; i < total; i += chunk {
-			end := i + chunk
-			if end > total {
-				end = total
-			}
+		for i := 0; i < total; i++ {
 			select {
-			case next <- span{i, end}:
+			case next <- i:
 			case <-runCtx.Done():
 				break producer
 			}
@@ -280,97 +186,13 @@ func RunWithWorker[W, In, Out any](ctx context.Context, inputs []In, opts Option
 }
 
 // safeCall invokes f and converts a panic into a *PanicError.
-func safeCall[W, In, Out any](w W, f func(W, In) (Out, error), in In) (out Out, err error) {
+func safeCall[In, Out any](f func(In) (Out, error), in In) (out Out, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return f(w, in)
-}
-
-// Map evaluates f over every input, in parallel, preserving order. workers
-// <= 0 selects GOMAXPROCS. It is Run with a background context and default
-// options: panics become per-point errors, every point runs, and all
-// failures are aggregated (errors.Is/As see each one).
-func Map[In, Out any](inputs []In, workers int, f func(In) (Out, error)) ([]Out, error) {
-	return Run(context.Background(), inputs, Options{Workers: workers}, f)
-}
-
-// Grid2D evaluates f over the cross product xs × ys in parallel and returns
-// z[yi][xi]. It is Grid2DCtx with a background context and default options.
-func Grid2D[X, Y, Out any](xs []X, ys []Y, workers int, f func(X, Y) (Out, error)) ([][]Out, error) {
-	return Grid2DCtx(context.Background(), xs, ys, Options{Workers: workers}, f)
-}
-
-// Grid2DCtx evaluates f over the cross product xs × ys with the given
-// context and options and returns z[yi][xi]. A failing cell's error is
-// wrapped with its grid coordinates (xi, yi) and the x/y values, so a bad
-// point on a large surface is locatable.
-func Grid2DCtx[X, Y, Out any](ctx context.Context, xs []X, ys []Y, opts Options, f func(X, Y) (Out, error)) ([][]Out, error) {
-	return Grid2DCtxWithWorker(ctx, xs, ys, opts,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, x X, y Y) (Out, error) { return f(x, y) })
-}
-
-// Grid2DCtxWithWorker is Grid2DCtx with per-worker state, analogous to
-// RunWithWorker: newWorker runs once per worker goroutine and its value is
-// passed to every cell that worker evaluates.
-//
-// With Options.Traversal == Snake the cells are enumerated boustrophedon
-// (consecutive cells are grid-neighbors) and, unless the caller sets
-// Options.Chunk, each worker claims one contiguous segment of the snake —
-// the traversal for continuation sweeps, where each worker's warm-started
-// solver walks a path of adjacent operating points.
-func Grid2DCtxWithWorker[W, X, Y, Out any](ctx context.Context, xs []X, ys []Y, opts Options, newWorker func() W, f func(W, X, Y) (Out, error)) ([][]Out, error) {
-	type cell struct{ xi, yi int }
-	snake := opts.Traversal == Snake
-	cells := make([]cell, 0, len(xs)*len(ys))
-	for yi := range ys {
-		if snake && yi%2 == 1 {
-			for xi := len(xs) - 1; xi >= 0; xi-- {
-				cells = append(cells, cell{xi, yi})
-			}
-		} else {
-			for xi := range xs {
-				cells = append(cells, cell{xi, yi})
-			}
-		}
-	}
-	if snake && opts.Chunk <= 0 && len(cells) > 0 {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(cells) {
-			workers = len(cells)
-		}
-		opts.Chunk = (len(cells) + workers - 1) / workers
-	}
-	flat, err := RunWithWorker(ctx, cells, opts, newWorker, func(w W, c cell) (Out, error) {
-		out, err := f(w, xs[c.xi], ys[c.yi])
-		if err != nil {
-			return out, fmt.Errorf("grid cell (xi=%d, yi=%d) (x=%v, y=%v): %w",
-				c.xi, c.yi, xs[c.xi], ys[c.yi], err)
-		}
-		return out, nil
-	})
-	z := make([][]Out, len(ys))
-	if snake {
-		// Odd rows were evaluated right to left; scatter by coordinates.
-		backing := make([]Out, len(cells))
-		for yi := range ys {
-			z[yi] = backing[yi*len(xs) : (yi+1)*len(xs)]
-		}
-		for k, c := range cells {
-			z[c.yi][c.xi] = flat[k]
-		}
-	} else {
-		for yi := range ys {
-			z[yi] = flat[yi*len(xs) : (yi+1)*len(xs)]
-		}
-	}
-	return z, err
+	return f(in)
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -1,6 +1,9 @@
 package sweep
 
+// The TestMap* tests check Run as a parallel, order-preserving map.
+
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -8,7 +11,7 @@ import (
 
 func TestMapPreservesOrder(t *testing.T) {
 	in := []int{5, 3, 8, 1, 9, 2}
-	out, err := Map(in, 4, func(x int) (int, error) { return x * 2, nil })
+	out, err := Run(context.Background(), in, Options{Workers: 4}, func(x int) (int, error) { return x * 2, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +28,11 @@ func TestMapSerialAndParallelAgree(t *testing.T) {
 		in[i] = i
 	}
 	f := func(x int) (int, error) { return x * x, nil }
-	serial, err := Map(in, 1, f)
+	serial, err := Run(context.Background(), in, Options{Workers: 1}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Map(in, 8, f)
+	parallel, err := Run(context.Background(), in, Options{Workers: 8}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestMapSerialAndParallelAgree(t *testing.T) {
 func TestMapReportsFirstErrorByOrder(t *testing.T) {
 	in := []int{0, 1, 2, 3}
 	bad := errors.New("bad")
-	_, err := Map(in, 2, func(x int) (int, error) {
+	_, err := Run(context.Background(), in, Options{Workers: 2}, func(x int) (int, error) {
 		if x >= 2 {
 			return 0, bad
 		}
@@ -57,7 +60,7 @@ func TestMapReportsFirstErrorByOrder(t *testing.T) {
 func TestMapRunsAll(t *testing.T) {
 	var count atomic.Int64
 	in := make([]struct{}, 57)
-	_, err := Map(in, 5, func(struct{}) (int, error) {
+	_, err := Run(context.Background(), in, Options{Workers: 5}, func(struct{}) (int, error) {
 		count.Add(1)
 		return 0, nil
 	})
@@ -70,24 +73,9 @@ func TestMapRunsAll(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(nil, 4, func(int) (int, error) { return 0, nil })
+	out, err := Run(context.Background(), nil, Options{Workers: 4}, func(int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty map: %v, %v", out, err)
-	}
-}
-
-func TestGrid2D(t *testing.T) {
-	xs := []int{1, 2, 3}
-	ys := []int{10, 20}
-	z, err := Grid2D(xs, ys, 4, func(x, y int) (int, error) { return x + y, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(z) != 2 || len(z[0]) != 3 {
-		t.Fatalf("shape %dx%d", len(z), len(z[0]))
-	}
-	if z[0][0] != 11 || z[1][2] != 23 {
-		t.Errorf("z = %v", z)
 	}
 }
 
