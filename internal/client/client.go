@@ -36,8 +36,10 @@ import (
 	"time"
 )
 
-// maxResponseBytes bounds a response body read; the largest legitimate
-// response (a full-size batch) is a few MB.
+// maxResponseBytes bounds a response body read. The largest legitimate
+// response, a batch of serve's default MaxBatchItems (1024) items, is 0.5 MB
+// of solve answers to 1 MB of tolerance answers; the bound leaves room for a
+// daemon configured with a larger batch cap.
 const maxResponseBytes = 64 << 20
 
 // AttemptHeader marks a hedge attempt on the wire: the hedge carries
@@ -233,6 +235,40 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	return d
 }
 
+// ReadBody reads an HTTP body of declared length n of at most limit bytes;
+// n is -1 when the length is undeclared, as http.Request.ContentLength and
+// http.Response.ContentLength report it. A declared body is read into one
+// buffer of exactly n bytes, so a large answer costs one allocation rather
+// than io.ReadAll's doubling copies; a declared length over limit is an error
+// before anything is allocated or read; a body that ends before its declared
+// length is an error, never truncated data. An undeclared (chunked) body is
+// read to its end and is an error once it passes limit. An over-limit body
+// reports *http.MaxBytesError, as http.MaxBytesReader does.
+//
+// Reading exactly n bytes of a net/http body also reads its end: the
+// transport returns io.EOF with the last bytes of a Content-Length body, which
+// is what lets it reuse the connection (bodyEOFSignal in net/http).
+func ReadBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if n < 0 {
+		data, err := io.ReadAll(io.LimitReader(r, limit+1))
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(data)) > limit {
+			return nil, &http.MaxBytesError{Limit: limit}
+		}
+		return data, nil
+	}
+	data := make([]byte, n)
+	if got, err := io.ReadFull(r, data); err != nil {
+		return nil, fmt.Errorf("body ended after %d of its declared %d bytes: %w", got, n, err)
+	}
+	return data, nil
+}
+
 // once issues a single HTTP exchange and reads the body.
 func (c *Client) once(ctx context.Context, path string, body []byte, hdr http.Header) (*RawResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
@@ -252,9 +288,9 @@ func (c *Client) once(ctx context.Context, path string, body []byte, hdr http.He
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	data, err := ReadBody(resp.Body, resp.ContentLength, maxResponseBytes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("reading the response body: %w", err)
 	}
 	c.lat.record(time.Since(start))
 	return &RawResponse{Status: resp.StatusCode, Header: resp.Header, Body: data}, nil
@@ -447,33 +483,6 @@ func (c *Client) Plan(ctx context.Context, req PlanRequest) (*PlanResponse, erro
 	var out PlanResponse
 	if _, err := c.post(ctx, "/v1/plan", req, &out); err != nil {
 		return nil, err
-	}
-	return &out, nil
-}
-
-// Health reports the node's liveness. A draining node answers 503 with a
-// well-formed body; that is returned as (body, *APIError) so callers can
-// distinguish "draining" from "gone".
-func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
-	if err != nil {
-		return nil, err
-	}
-	var out HealthResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("lattolclient: malformed health body: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &out, &APIError{Status: resp.StatusCode, Message: out.Status}
 	}
 	return &out, nil
 }

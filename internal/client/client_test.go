@@ -10,11 +10,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,4 +347,155 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// TestReadBody pins the body read policy both sides of the wire share: a
+// declared length is one exact allocation, a declared length over the limit
+// is an error before anything is read, a body shorter than its declared
+// length is an error, and an undeclared body is read to its end unless it
+// passes the limit — never truncated to it.
+func TestReadBody(t *testing.T) {
+	const limit = 8
+	for _, tc := range []struct {
+		name     string
+		body     string
+		n        int64
+		wantErr  error // matched with errors.Is; nil for success
+		tooLarge bool
+	}{
+		{name: "declared", body: "12345", n: 5},
+		{name: "declared at the limit", body: "12345678", n: 8},
+		{name: "declared empty", body: "", n: 0},
+		{name: "declared over the limit", body: "123456789", n: 9, tooLarge: true},
+		{name: "shorter than declared", body: "123", n: 5, wantErr: io.ErrUnexpectedEOF},
+		{name: "empty but declared", body: "", n: 5, wantErr: io.EOF},
+		{name: "undeclared", body: "12345", n: -1},
+		{name: "undeclared at the limit", body: "12345678", n: -1},
+		{name: "undeclared over the limit", body: "123456789", n: -1, tooLarge: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := strings.NewReader(tc.body)
+			got, err := lattolclient.ReadBody(r, tc.n, limit)
+			var mbe *http.MaxBytesError
+			switch {
+			case tc.tooLarge:
+				if !errors.As(err, &mbe) || mbe.Limit != limit {
+					t.Fatalf("err = %v, want *http.MaxBytesError{Limit: %d}", err, limit)
+				}
+				if tc.n > limit && r.Len() != len(tc.body) {
+					t.Errorf("read %d bytes of a body declared over the limit, want 0", len(tc.body)-r.Len())
+				}
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case string(got) != tc.body:
+				t.Fatalf("body = %q, want %q", got, tc.body)
+			case tc.n >= 0 && cap(got) != len(got):
+				t.Errorf("cap = %d for a declared %d-byte body, want an exact buffer", cap(got), len(got))
+			}
+		})
+	}
+
+	body := bytes.Repeat([]byte("x"), 24<<10)
+	r := bytes.NewReader(body)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		if _, err := lattolclient.ReadBody(r, int64(len(body)), 1<<20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("declared 24 KB read made %v allocations, want 1", allocs)
+	}
+}
+
+// TestClientShortBodyIsError: an answer that ends before its declared
+// Content-Length is an error, not a truncated body.
+func TestClientShortBodyIsError(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		_, _ = buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"short\":true}")
+		_ = buf.Flush()
+	}))
+	defer hs.Close()
+
+	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1})
+	raw, err := c.PostRaw(context.Background(), "/short", nil, nil)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("PostRaw = (%+v, %v), want an error wrapping io.ErrUnexpectedEOF", raw, err)
+	}
+}
+
+// TestClientReadsChunkedBody: an answer of undeclared length, sent chunked,
+// is read in full.
+func TestClientReadsChunkedBody(t *testing.T) {
+	chunk := bytes.Repeat([]byte("0123456789abcdef"), 64)
+	const chunks = 40
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for i := 0; i < chunks; i++ {
+			_, _ = w.Write(chunk)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer hs.Close()
+
+	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1})
+	raw, err := c.PostRaw(context.Background(), "/chunked", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl := raw.Header.Get("Content-Length"); cl != "" {
+		t.Fatalf("answer declared Content-Length %s, want a chunked answer", cl)
+	}
+	if want := bytes.Repeat(chunk, chunks); !bytes.Equal(raw.Body, want) {
+		t.Errorf("body is %d bytes, want the %d sent", len(raw.Body), len(want))
+	}
+}
+
+// TestClientReusesConnection: large answers read at their declared length
+// leave the connection reusable — net/http reuses it only if the body
+// reader saw io.EOF before Close — so 50 batch calls travel over one TCP
+// connection.
+func TestClientReusesConnection(t *testing.T) {
+	srv := serve.NewServer(serve.Config{})
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	var conns atomic.Int64
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	hs.Start()
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+
+	items := make([]lattolclient.BatchItemRequest, 32)
+	for i := range items {
+		items[i].ModelRequest = validModel()
+		items[i].Threads = 1 + i
+	}
+	body := mustJSON(t, lattolclient.BatchRequest{Items: items})
+	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1})
+	for i := 0; i < 50; i++ {
+		raw, err := c.PostRaw(context.Background(), "/v1/batch", body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw.Status != http.StatusOK || len(raw.Body) <= 2048 {
+			t.Fatalf("call %d: status %d with %d bytes, want 200 with more than 2 KB", i, raw.Status, len(raw.Body))
+		}
+		if cl := raw.Header.Get("Content-Length"); cl != strconv.Itoa(len(raw.Body)) {
+			t.Fatalf("call %d: Content-Length %q for a %d-byte body", i, cl, len(raw.Body))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("50 calls opened %d TCP connections, want 1", n)
+	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
 	lattolclient "lattol/internal/client"
@@ -89,7 +90,8 @@ func (s *Server) routeKeyed(w http.ResponseWriter, r *http.Request, h uint64, bo
 	return true
 }
 
-// relay writes a peer's response verbatim, naming the answering node.
+// relay writes a peer's response verbatim, naming the answering node and
+// declaring the body's length, as writeJSON does.
 func (s *Server) relay(w http.ResponseWriter, owner string, resp *lattolclient.RawResponse) {
 	s.eval.met.countStatus(resp.Status)
 	for _, h := range []string{"Content-Type", "X-Lattold-Cache", "Retry-After"} {
@@ -98,6 +100,7 @@ func (s *Server) relay(w http.ResponseWriter, owner string, resp *lattolclient.R
 		}
 	}
 	w.Header().Set(PeerHeader, owner)
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	w.WriteHeader(resp.Status)
 	_, _ = w.Write(resp.Body)
 }

@@ -99,6 +99,23 @@ func TestServerClusterForwardAndRelay(t *testing.T) {
 	}
 }
 
+// TestServerRelayDeclaresContentLength: a relayed answer larger than
+// net/http's 2 KB pre-chunking buffer (a plan frontier forwarded to the
+// owner of its base model) carries the peer body's exact length and is not
+// chunked.
+func TestServerRelayDeclaresContentLength(t *testing.T) {
+	srvs, urls := newClusterPair(t, Config{Workers: 1})
+	body := strings.TrimSuffix(bodyOwnedBy(t, srvs[0].Cluster(), urls[1]), "}") +
+		`,"knob":"nt","metric":"tol_network","target":0.9,"trace":true,` +
+		`"frontier":{"param":"premote","from":0.05,"to":0.2,"steps":8}}`
+
+	resp := postJSON(t, urls[0]+"/v1/plan", body)
+	if peer := resp.Header.Get(PeerHeader); peer != urls[1] {
+		t.Fatalf("X-Lattold-Peer = %q, want the owner %q", peer, urls[1])
+	}
+	readDeclared(t, resp)
+}
+
 func TestServerOwnedKeyServedLocally(t *testing.T) {
 	srvs, urls := newClusterPair(t, Config{Workers: 1})
 	body := bodyOwnedBy(t, srvs[0].Cluster(), urls[0])

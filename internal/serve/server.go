@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -143,15 +142,19 @@ func (s *Server) Evaluator() *Evaluator { return s.eval }
 // handlers finish their evaluations first.
 func (s *Server) Close() { s.eval.Close() }
 
-// maxBodyBytes bounds a request body; the largest legitimate request is a
-// few hundred bytes.
+// maxBodyBytes bounds a request body. A solve body is about 100 bytes, a
+// 32-item batch 3–4 KB, and a batch of the default MaxBatchItems (1024) items
+// 100–130 KB.
 const maxBodyBytes = 1 << 20
 
-// readBody reads the bounded request body. The raw bytes are kept because
-// the cluster layer forwards them verbatim — re-encoding a decoded request
-// would have to prove it round-trips exactly; relaying bytes doesn't.
+// readBody reads the bounded request body, a declared length in one
+// exact-size read (lattolclient.ReadBody). http.MaxBytesReader stays under it
+// so an over-limit chunked body still closes the connection. The raw bytes
+// are kept because the cluster layer forwards them verbatim — re-encoding a
+// decoded request would have to prove it round-trips exactly; relaying bytes
+// doesn't.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := lattolclient.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength, maxBodyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("invalid request body: %w", err)
 	}
@@ -239,7 +242,9 @@ const maxPooledWire = 64 << 10
 
 // writeJSON encodes body before anything is written, so an unencodable body
 // (NaN and ±Inf have no JSON form) becomes a 500 error body instead of a
-// status line followed by nothing.
+// status line followed by nothing. It declares the body's length: net/http
+// does so by itself only for bodies under its 2 KB buffer and sends larger
+// ones chunked, which the client can only read by growing a buffer.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, body wireBody) {
 	bp := wireBufs.Get().(*[]byte)
 	defer func() {
@@ -257,6 +262,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, body wireBody) {
 	*bp = b
 	s.eval.met.countStatus(code)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		// Keep a more specific hint (the rate limiter's refill time, a relayed
 		// peer's own header) when one is already set.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -261,6 +262,110 @@ func TestServerMethodAndBodyLimits(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized body status = %d, want 400", resp.StatusCode)
+	}
+	if !resp.Close {
+		t.Error("oversized body left the connection open")
+	}
+}
+
+// TestServerChunkedRequestBody: a request of undeclared length is still read
+// in full, and one over maxBodyBytes is still a 400 that closes the
+// connection.
+func TestServerChunkedRequestBody(t *testing.T) {
+	srv := NewServer(Config{})
+	var seenLen atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seenLen.Store(r.ContentLength)
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	post := func(body string) *http.Response {
+		t.Helper()
+		// A MultiReader hides the length from net/http, which then sends
+		// the body chunked.
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", io.MultiReader(strings.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := seenLen.Load(); got != -1 {
+			t.Fatalf("server saw Content-Length %d, want -1 (chunked)", got)
+		}
+		return resp
+	}
+
+	resp := post(validBody)
+	var out SolveResponse
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusOK || out.Metrics.Up <= 0 {
+		t.Fatalf("chunked solve: status %d, u_p %v; want 200 with an answer", resp.StatusCode, out.Metrics.Up)
+	}
+
+	resp = post(`{"k":4,"threads":8` + strings.Repeat(" ", maxBodyBytes) + `}`)
+	var e ErrorResponse
+	decodeBody(t, resp, &e)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized chunked body status = %d, want 400", resp.StatusCode)
+	}
+	if want := "invalid request body: http: request body too large"; e.Error.Message != want {
+		t.Errorf("oversized chunked body message = %q, want %q", e.Error.Message, want)
+	}
+	if !resp.Close {
+		t.Error("oversized chunked body left the connection open")
+	}
+}
+
+// readDeclared reads a response body and checks that it travelled with an
+// exact Content-Length rather than chunked, and that it is larger than the
+// 2 KB net/http would have declared by itself.
+func readDeclared(t *testing.T, resp *http.Response) {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", resp.StatusCode, body)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("body is %d bytes, want more than 2048 to exercise the chunked threshold", len(body))
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Errorf("Transfer-Encoding = %v, want none", resp.TransferEncoding)
+	}
+	if resp.ContentLength != int64(len(body)) {
+		t.Errorf("Content-Length = %d, want the body's %d bytes", resp.ContentLength, len(body))
+	}
+}
+
+// TestServerDeclaresContentLength: answers larger than net/http's 2 KB
+// pre-chunking buffer — a 32-item batch, a sweep and a plan frontier — carry
+// an exact Content-Length and are not chunked.
+func TestServerDeclaresContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	items := make([]string, 32)
+	for i := range items {
+		op := ""
+		if i%2 == 1 {
+			op = `,"op":"tolerance"`
+		}
+		items[i] = fmt.Sprintf(`{"k":4,"threads":%d,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5%s}`, 1+i/2, op)
+	}
+	sweep := `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5,"param":"premote","from":0.05,"to":0.9,"steps":18}`
+	frontier := strings.Replace(planBody, `"target":0.95`,
+		`"target":0.9,"frontier":{"param":"premote","from":0.05,"to":0.2,"steps":8}`, 1)
+	for _, tc := range []struct{ name, path, body string }{
+		{"batch32", "/v1/batch", `{"items":[` + strings.Join(items, ",") + `]}`},
+		{"sweep", "/v1/sweep", sweep},
+		{"plan-frontier", "/v1/plan", frontier},
+	} {
+		t.Run(tc.name, func(t *testing.T) { readDeclared(t, postJSON(t, ts.URL+tc.path, tc.body)) })
 	}
 }
 
@@ -630,5 +735,8 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	// on it.
 	if want := "serve: encoding the response: json: unsupported value: NaN"; out.Error.Message != want {
 		t.Errorf("error message = %q, want %q", out.Error.Message, want)
+	}
+	if got, want := rec.Header().Get("Content-Length"), fmt.Sprint(rec.Body.Len()); got != want {
+		t.Errorf("Content-Length = %q, want the error body's %s bytes", got, want)
 	}
 }
