@@ -953,38 +953,35 @@ func BenchmarkClusterForwardHit(b *testing.B) {
 	}
 }
 
-// BenchmarkClientHedged measures lattolclient's full request path with
-// hedging armed — latency-window bookkeeping, hedge timer arm/cancel, JSON
-// round trip — over the daemon's cache-hit solve. The delta to
-// BenchmarkServeSolveCached is the client library's per-call overhead.
-func BenchmarkClientHedged(b *testing.B) {
+// BenchmarkClientPostRaw measures lattolclient's request path — one HTTP
+// exchange and the exact-length body read — over the daemon's cache-hit
+// solve. The delta to BenchmarkServeSolveCached is the client library's
+// per-call overhead plus the loopback round trip.
+func BenchmarkClientPostRaw(b *testing.B) {
 	srv := serve.NewServer(serve.Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	c := lattolclient.New(ts.URL, lattolclient.Options{
-		Retries:         -1,
-		HedgeQuantile:   0.99,
-		HedgeMinSamples: 8,
-		ClientID:        "bench",
-	})
-	req := lattolclient.ModelRequest{
+	c := lattolclient.New(ts.URL, lattolclient.Options{ClientID: "bench"})
+	body, err := json.Marshal(lattolclient.ModelRequest{
 		K: 4, Threads: 8, Runlength: 10, MemoryTime: 10, SwitchTime: 10,
 		PRemote: 0.2, Psw: 0.5,
-	}
+	})
+	benchErr(b, err)
 	ctx := context.Background()
-	// Prime the server cache and fill the latency window past HedgeMinSamples
-	// so the hedge machinery is live for every timed iteration.
-	for i := 0; i < 16; i++ {
-		_, err := c.Solve(ctx, req)
+	post := func() {
+		raw, err := c.PostRaw(ctx, "/v1/solve", body, nil)
 		benchErr(b, err)
+		if raw.Status != http.StatusOK {
+			b.Fatalf("status %d: %s", raw.Status, raw.Body)
+		}
 	}
+	post() // prime the server cache: every timed call is a hit
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := c.Solve(ctx, req)
-		benchErr(b, err)
+		post()
 	}
 }

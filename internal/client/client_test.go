@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -73,76 +74,69 @@ func validModel() lattolclient.ModelRequest {
 	return lattolclient.ModelRequest{K: 2, Threads: 4, Runlength: 10, MemoryTime: 8, SwitchTime: 2, PRemote: 0.2, Psw: 0.5}
 }
 
-// TestGoldenError400 pins the validation-error wire body and asserts the
-// server's field name and message survive into *APIError verbatim.
+// TestGoldenError400 pins the validation-error wire body and asserts it
+// names the offending field by its wire name, with a message.
 func TestGoldenError400(t *testing.T) {
 	hs, _ := startServer(t, serve.Config{Workers: 1})
-	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1})
+	c := lattolclient.New(hs.URL, lattolclient.Options{})
 
 	req := validModel()
 	req.Threads = -3
-	_, err := c.Solve(context.Background(), req)
-	var apiErr *lattolclient.APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("Solve error = %v, want *APIError", err)
-	}
-	if apiErr.Status != http.StatusBadRequest {
-		t.Errorf("Status = %d, want 400", apiErr.Status)
-	}
-	if apiErr.Field != "threads" {
-		t.Errorf("Field = %q, want %q (the wire name, verbatim)", apiErr.Field, "threads")
-	}
-	if apiErr.Message == "" {
-		t.Error("Message empty, want the server's validation message verbatim")
-	}
-
 	raw, err := c.PostRaw(context.Background(), "/v1/solve", mustJSON(t, req), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if raw.Status != http.StatusBadRequest {
+		t.Fatalf("raw status = %d, want 400", raw.Status)
+	}
+	var e lattolclient.ErrorResponse
+	if err := json.Unmarshal(raw.Body, &e); err != nil {
+		t.Fatalf("error body %q does not decode: %v", raw.Body, err)
+	}
+	if e.Error.Field != "threads" {
+		t.Errorf("Field = %q, want %q (the wire name, verbatim)", e.Error.Field, "threads")
+	}
+	if e.Error.Message == "" {
+		t.Error("Message empty, want the server's validation message")
+	}
 	checkGolden(t, "error_400.json", raw.Body)
 }
 
-// TestGoldenError429 pins the rate-limited wire body and asserts the client
-// surfaces the Retry-After hint.
+// TestGoldenError429 pins the rate-limited wire body and asserts the server
+// sends a Retry-After hint with it.
 func TestGoldenError429(t *testing.T) {
 	hs, _ := startServer(t, serve.Config{Workers: 1, RateLimit: 1e-9, RateBurst: 1})
-	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1, ClientID: "golden"})
+	c := lattolclient.New(hs.URL, lattolclient.Options{ClientID: "golden"})
 
 	// The bucket holds exactly one token and refills at a negligible rate:
 	// the second request is deterministically shed.
-	if _, err := c.Solve(context.Background(), validModel()); err != nil {
-		t.Fatalf("first request: %v", err)
+	body := mustJSON(t, validModel())
+	raw, err := c.PostRaw(context.Background(), "/v1/solve", body, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := c.Solve(context.Background(), validModel())
-	var apiErr *lattolclient.APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("Solve error = %v, want *APIError", err)
+	if raw.Status != http.StatusOK {
+		t.Fatalf("first request: status %d, want 200", raw.Status)
 	}
-	if apiErr.Status != http.StatusTooManyRequests {
-		t.Errorf("Status = %d, want 429", apiErr.Status)
-	}
-	if apiErr.RetryAfter <= 0 {
-		t.Errorf("RetryAfter = %v, want the server's hint surfaced", apiErr.RetryAfter)
-	}
-
-	raw, err := c.PostRaw(context.Background(), "/v1/solve", mustJSON(t, validModel()), nil)
+	raw, err = c.PostRaw(context.Background(), "/v1/solve", body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if raw.Status != http.StatusTooManyRequests {
 		t.Fatalf("raw status = %d, want 429", raw.Status)
 	}
+	if ra, err := strconv.Atoi(raw.Header.Get("Retry-After")); err != nil || ra <= 0 {
+		t.Errorf("Retry-After = %q, want a positive number of seconds", raw.Header.Get("Retry-After"))
+	}
 	checkGolden(t, "error_429.json", raw.Body)
 }
 
-// TestGoldenError503 pins the draining wire body and asserts the retry loop
-// honors Retry-After on 503 — the backoff never undercuts the server's hint.
+// TestGoldenError503 pins the draining wire body and its Retry-After hint.
 func TestGoldenError503(t *testing.T) {
 	hs, srv := startServer(t, serve.Config{Workers: 1})
 	srv.Close() // draining: every POST now answers 503
 
-	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: -1})
+	c := lattolclient.New(hs.URL, lattolclient.Options{})
 	raw, err := c.PostRaw(context.Background(), "/v1/solve", mustJSON(t, validModel()), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -154,182 +148,107 @@ func TestGoldenError503(t *testing.T) {
 		t.Errorf("Retry-After = %q, want %q", ra, "1")
 	}
 	checkGolden(t, "error_503.json", raw.Body)
-
-	// Retrying client: each backoff must be at least the server's 1s hint
-	// (observed through the injected sleep, so no test time is spent).
-	rc := lattolclient.New(hs.URL, lattolclient.Options{Retries: 2, BaseBackoff: time.Millisecond})
-	var slept []time.Duration
-	rc.SetSleep(func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	})
-	_, err = rc.Solve(context.Background(), validModel())
-	var apiErr *lattolclient.APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("Solve error = %v, want *APIError", err)
-	}
-	if apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter != time.Second {
-		t.Errorf("got status %d retry-after %v, want 503 with 1s", apiErr.Status, apiErr.RetryAfter)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("retry sleeps = %d, want 2", len(slept))
-	}
-	for i, d := range slept {
-		if d < time.Second {
-			t.Errorf("backoff %d = %v undercuts the server's Retry-After of 1s", i, d)
-		}
-	}
 }
 
-// TestRetryBackoffJitter drives the retry loop against a flaky handler and
-// checks the exponential-ceiling-with-jitter shape of the chosen sleeps.
-func TestRetryBackoffJitter(t *testing.T) {
-	var calls atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "not yet", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"status":"ok","uptime_seconds":1}`))
-	}))
-	defer hs.Close()
-
-	base := 100 * time.Millisecond
-	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: 2, BaseBackoff: base, Seed: 42})
-	var slept []time.Duration
-	c.SetSleep(func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	})
-	raw, err := c.PostRaw(context.Background(), "/v1/anything", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Status != http.StatusOK {
-		t.Fatalf("final status = %d, want 200 after retries", raw.Status)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("handler calls = %d, want 3 (1 try + 2 retries)", calls.Load())
-	}
-	if len(slept) != 2 {
-		t.Fatalf("sleeps = %d, want 2", len(slept))
-	}
-	for i, d := range slept {
-		ceil := base << i
-		if d < ceil/2 || d > ceil {
-			t.Errorf("backoff %d = %v, want jittered in [%v, %v]", i, d, ceil/2, ceil)
-		}
-	}
-}
-
-// TestNoRetryOn400 asserts deterministic client errors are not retried.
-func TestNoRetryOn400(t *testing.T) {
-	var calls atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":{"status":400,"message":"bad"}}`, http.StatusBadRequest)
-	}))
-	defer hs.Close()
-	c := lattolclient.New(hs.URL, lattolclient.Options{Retries: 3})
-	raw, err := c.PostRaw(context.Background(), "/v1/solve", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Status != http.StatusBadRequest || calls.Load() != 1 {
-		t.Errorf("status %d after %d calls, want one un-retried 400", raw.Status, calls.Load())
-	}
-}
-
-// TestHedgedRequest primes the latency window with fast responses, then
-// stalls the primary: the hedge must fire and win. The primary is picked by
-// identity (it lacks the attempt header), not by arrival order — the hedge
-// may reach the server first.
-func TestHedgedRequest(t *testing.T) {
-	stall := make(chan struct{})
-	primaryIn := make(chan struct{})
-	var stalled atomic.Int64
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/hedged" {
-			if r.Header.Get(lattolclient.AttemptHeader) == "" {
-				// The primary blocks until the test releases it.
-				if stalled.Add(1) == 1 {
-					close(primaryIn)
+// TestPostRawIsOneExchange: every call reaches the server exactly once,
+// whatever the answer. Overload and gateway statuses come back verbatim with
+// their Retry-After, and a connection dropped without an answer is an error,
+// not a second attempt.
+func TestPostRawIsOneExchange(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		status     int    // 0: drop the connection without answering
+		retryAfter string // "" sends no Retry-After
+	}{
+		{name: "400", status: http.StatusBadRequest},
+		{name: "429", status: http.StatusTooManyRequests, retryAfter: "1"},
+		{name: "502", status: http.StatusBadGateway},
+		{name: "503", status: http.StatusServiceUnavailable, retryAfter: "1"},
+		{name: "dropped connection"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := fmt.Sprintf(`{"error":{"status":%d,"message":"no"}}`, tc.status)
+			var calls atomic.Int64
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				if tc.status == 0 {
+					conn, _, err := w.(http.Hijacker).Hijack()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					conn.Close()
+					return
 				}
-				<-stall
-			} else {
-				// The hedge answers once the primary is stalled, so the
-				// assertions below never race the primary's arrival.
-				<-primaryIn
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"ok":true}`))
-	}))
-	defer hs.Close()
+				if tc.retryAfter != "" {
+					w.Header().Set("Retry-After", tc.retryAfter)
+				}
+				w.WriteHeader(tc.status)
+				_, _ = w.Write([]byte(body))
+			}))
+			defer hs.Close()
 
-	c := lattolclient.New(hs.URL, lattolclient.Options{
-		Retries:         -1,
-		HedgeQuantile:   0.9,
-		HedgeMinSamples: 1,
-	})
-	if _, err := c.PostRaw(context.Background(), "/prime", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	raw, err := c.PostRaw(ctx, "/hedged", nil, nil)
-	close(stall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.Status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 from the hedge", raw.Status)
-	}
-	if stalled.Load() != 1 {
-		t.Fatalf("stalled calls = %d, want exactly the primary", stalled.Load())
-	}
-	hedges, wins := c.Stats()
-	if hedges != 1 || wins != 1 {
-		t.Errorf("hedge stats = (%d launched, %d won), want (1, 1)", hedges, wins)
+			c := lattolclient.New(hs.URL, lattolclient.Options{})
+			raw, err := c.PostRaw(context.Background(), "/v1/solve", []byte(`{}`), nil)
+			if n := calls.Load(); n != 1 {
+				t.Errorf("handler calls = %d, want 1", n)
+			}
+			if tc.status == 0 {
+				if err == nil {
+					t.Fatalf("PostRaw = %+v, want an error for a dropped connection", raw)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw.Status != tc.status {
+				t.Errorf("status = %d, want %d", raw.Status, tc.status)
+			}
+			if ra := raw.Header.Get("Retry-After"); ra != tc.retryAfter {
+				t.Errorf("Retry-After = %q, want %q", ra, tc.retryAfter)
+			}
+			if string(raw.Body) != body {
+				t.Errorf("body = %q, want %q", raw.Body, body)
+			}
+		})
 	}
 }
 
-// TestStressHedgeCancel hammers a jittery server with hedging armed from
-// many goroutines — the race detector's view of the hedge bookkeeping and
-// loser-cancellation paths. LATTOL_STRESS_OPS raises the budget in CI.
-func TestStressHedgeCancel(t *testing.T) {
+// TestStressPostRaw calls PostRaw from many goroutines against a jittery
+// server: the race detector's view of one shared Client, and a count that
+// pins one exchange per call. LATTOL_STRESS_OPS raises the budget in CI.
+func TestStressPostRaw(t *testing.T) {
 	ops := envInt("LATTOL_STRESS_OPS", 60)
 	var calls atomic.Int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Every third exchange is slow enough to trip the hedge timer.
+		// Every third exchange is slow, so calls overlap unevenly.
 		if calls.Add(1)%3 == 0 {
-			select {
-			case <-time.After(20 * time.Millisecond):
-			case <-r.Context().Done():
-				return
-			}
+			time.Sleep(20 * time.Millisecond)
 		}
 		_, _ = w.Write([]byte(`{"ok":true}`))
 	}))
 	defer hs.Close()
 
-	c := lattolclient.New(hs.URL, lattolclient.Options{
-		Retries:         -1,
-		HedgeQuantile:   0.5,
-		HedgeMinSamples: 4,
-	})
+	c := lattolclient.New(hs.URL, lattolclient.Options{})
 	var wg sync.WaitGroup
-	errs := make(chan error, ops)
+	var returned atomic.Int64
+	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < ops/8+1; i++ {
-				if _, err := c.PostRaw(context.Background(), "/stress", nil, nil); err != nil {
+				raw, err := c.PostRaw(context.Background(), "/stress", nil, nil)
+				if err != nil {
 					errs <- err
 					return
 				}
+				if raw.Status != http.StatusOK {
+					errs <- fmt.Errorf("status %d, want 200", raw.Status)
+					return
+				}
+				returned.Add(1)
 			}
 		}()
 	}
@@ -337,6 +256,9 @@ func TestStressHedgeCancel(t *testing.T) {
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+	if n, r := calls.Load(), returned.Load(); n != r {
+		t.Errorf("handler calls = %d for %d returned PostRaw calls, want one each", n, r)
 	}
 }
 

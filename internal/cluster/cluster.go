@@ -19,8 +19,8 @@ import (
 const ForwardHeader = "X-Lattold-Forward"
 
 // Transport is the one-hop peer call the cluster needs: POST raw bytes,
-// return the raw response. Satisfied by *lattolclient.Client; tests plug in
-// fakes.
+// return the raw response. Satisfied by *lattolclient.Client, which makes
+// exactly one exchange per call and never retries; tests plug in fakes.
 type Transport interface {
 	PostRaw(ctx context.Context, path string, body []byte, hdr http.Header) (*lattolclient.RawResponse, error)
 }
@@ -35,8 +35,8 @@ type Options struct {
 	// Default 5s.
 	ForwardTimeout time.Duration
 	// NewTransport builds the per-peer transport; nil selects a
-	// lattolclient.Client with retries and hedging disabled (the serving
-	// layer's local-solve fallback is the retry policy for forwards).
+	// lattolclient.Client, which never retries: the serving layer's
+	// local-solve fallback is the forward's only retry policy.
 	NewTransport func(peer string) Transport
 }
 
@@ -50,7 +50,6 @@ func (o Options) withDefaults(self string) Options {
 	if o.NewTransport == nil {
 		o.NewTransport = func(peer string) Transport {
 			return lattolclient.New(peer, lattolclient.Options{
-				Retries:  -1,
 				ClientID: "peer:" + self,
 			})
 		}

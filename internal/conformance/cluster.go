@@ -294,10 +294,10 @@ func CheckCluster(ctx context.Context, opts ClusterOptions) error {
 	}
 	defer clu.Close()
 
-	refClient := lattolclient.New(ref.Nodes[0].URL, lattolclient.Options{Retries: -1})
+	refClient := lattolclient.New(ref.Nodes[0].URL, lattolclient.Options{})
 	clients := make([]*lattolclient.Client, opts.Nodes)
 	for i, node := range clu.Nodes {
-		clients[i] = lattolclient.New(node.URL, lattolclient.Options{Retries: -1, ClientID: "conformance"})
+		clients[i] = lattolclient.New(node.URL, lattolclient.Options{ClientID: "conformance"})
 	}
 
 	trials := make([]clusterTrial, opts.Trials)

@@ -289,6 +289,3 @@ func (s *Station) MeanQueueLen() float64 {
 	_, inSys := s.stat.meansAt(s.engine.Now())
 	return inSys
 }
-
-// Waiting returns the number of jobs queued (not in service) right now.
-func (s *Station) Waiting() int { return s.queue.n }

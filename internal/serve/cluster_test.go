@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -308,33 +309,31 @@ func TestServerClusterMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestClientAgainstCluster drives the typed client end to end through a
+// TestClientAgainstCluster drives the wire client end to end through a
 // non-owner node: the decoded answer and cache annotations must be the
 // owner's.
 func TestClientAgainstCluster(t *testing.T) {
 	srvs, urls := newClusterPair(t, Config{Workers: 1})
 	body := bodyOwnedBy(t, srvs[0].Cluster(), urls[1])
-	var req lattolclient.ModelRequest
-	if err := decodeStrict([]byte(body), &req); err != nil {
-		t.Fatal(err)
-	}
 
-	c := lattolclient.New(urls[0], lattolclient.Options{Retries: -1})
-	out, err := c.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Metrics.Up <= 0 || out.Metrics.Up > 1 {
-		t.Errorf("U_p = %v, want in (0,1]", out.Metrics.Up)
-	}
-	if out.Cache != "miss" {
-		t.Errorf("Cache = %q, want miss", out.Cache)
-	}
-	out2, err := c.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Cache != "hit" {
-		t.Errorf("repeat Cache = %q, want hit", out2.Cache)
+	c := lattolclient.New(urls[0], lattolclient.Options{})
+	for _, wantCache := range []string{"miss", "hit"} {
+		raw, err := c.PostRaw(context.Background(), "/v1/solve", []byte(body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw.Status != http.StatusOK {
+			t.Fatalf("status = %d, want 200: %s", raw.Status, raw.Body)
+		}
+		var out lattolclient.SolveResponse
+		if err := json.Unmarshal(raw.Body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Metrics.Up <= 0 || out.Metrics.Up > 1 {
+			t.Errorf("U_p = %v, want in (0,1]", out.Metrics.Up)
+		}
+		if got := raw.Header.Get("X-Lattold-Cache"); got != wantCache {
+			t.Errorf("X-Lattold-Cache = %q, want %s", got, wantCache)
+		}
 	}
 }

@@ -19,11 +19,11 @@
 # Cluster-path benchmarks: BenchmarkClusterForwardHit (cross-node cache hit —
 # request enters the non-owner, forwarded over loopback, relayed back; the
 # delta to BenchmarkServeSolveCached is the forward hop) and
-# BenchmarkClientHedged (lattolclient's per-call overhead with hedging armed).
+# BenchmarkClientPostRaw (lattolclient's per-call overhead: one exchange).
 # Both boot real HTTP listeners, so timings carry loopback noise; CI gates
 # them through the usual benchdiff thresholds. Focused run:
 #
-#   bash scripts/bench.sh 5 'ClusterForwardHit|ClientHedged' .
+#   bash scripts/bench.sh 5 'ClusterForwardHit|ClientPostRaw' .
 #
 # HTTP-boundary and encoding benchmarks: BenchmarkServeHTTPSolveCached and
 # BenchmarkServeHTTPBatchCached (the ServeSolveCached / ServeBatchCached cache
