@@ -687,6 +687,41 @@ func BenchmarkSolveBatchSweepItems(b *testing.B) {
 	reportPointsPerSec(b, float64(len(items)))
 }
 
+// BenchmarkSolveBatchNewGeometries solves 32 K = 4 points of distinct
+// p_remote, each followed by its network and memory ideals (ZeroRemote,
+// ZeroDelay), as Config items on one reused workspace, continuing from the
+// previous batch (WarmStart) as lattold's worker does. The workspace keeps
+// elaboration tables but no models between calls, so every op elaborates
+// all 32 geometries again: the time is elaboration, sharing and the kernel.
+// The steady state must stay at 0 allocs/op.
+func BenchmarkSolveBatchNewGeometries(b *testing.B) {
+	var items []mms.BatchItem
+	for j := 0; j < 32; j++ {
+		cfg := mms.DefaultConfig()
+		_, f := math.Modf(float64(j) * 0.6180339887498949)
+		cfg.PRemote = 0.05 + 0.85*f
+		items = append(items, mms.BatchItem{Config: cfg})
+		for _, ideal := range []struct {
+			sub  tolerance.Subsystem
+			mode tolerance.IdealMode
+		}{{tolerance.Network, tolerance.ZeroRemote}, {tolerance.Memory, tolerance.ZeroDelay}} {
+			icfg, err := tolerance.IdealConfig(cfg, ideal.sub, ideal.mode)
+			benchErr(b, err)
+			items = append(items, mms.BatchItem{Config: icfg})
+		}
+	}
+	dst := make([]mms.BatchResult, len(items))
+	opts := mms.SolveOptions{Workspace: new(mms.Workspace), WarmStart: true}
+	mms.SolveBatchInto(dst, items, opts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mms.SolveBatchInto(dst, items, opts)
+		benchErr(b, dst[0].Err)
+	}
+	reportPointsPerSec(b, float64(len(items)))
+}
+
 // cachedBatchItems is the 16-item batch of the cached-batch benchmarks: ten
 // solves over threads 1–10 and six tolerance items.
 func cachedBatchItems() []serve.BatchItemRequest {

@@ -117,15 +117,6 @@ func NewGeometric(t *topology.Torus, psw float64, mode GeometricMode) (*Geometri
 	return g, nil
 }
 
-// MustGeometric is NewGeometric for known-good parameters; it panics on error.
-func MustGeometric(t *topology.Torus, psw float64, mode GeometricMode) *Geometric {
-	g, err := NewGeometric(t, psw, mode)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Prob implements Pattern.
 func (g *Geometric) Prob(src, dst topology.Node) float64 {
 	if src == dst {

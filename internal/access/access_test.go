@@ -8,6 +8,16 @@ import (
 	"lattol/internal/topology"
 )
 
+// mustGeometric is NewGeometric for known-good parameters; it panics on
+// error.
+func mustGeometric(t *topology.Torus, psw float64, mode GeometricMode) *Geometric {
+	g, err := NewGeometric(t, psw, mode)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func sumProbs(p Pattern, t *topology.Torus, src topology.Node) float64 {
 	var sum float64
 	for n := 0; n < t.Nodes(); n++ {
@@ -19,7 +29,7 @@ func sumProbs(p Pattern, t *topology.Torus, src topology.Node) float64 {
 func TestGeometricPaperDavg(t *testing.T) {
 	// The paper's headline value: k=4, p_sw=0.5, per-distance => d_avg=1.733.
 	tor := topology.MustTorus(4)
-	g := MustGeometric(tor, 0.5, PerDistance)
+	g := mustGeometric(tor, 0.5, PerDistance)
 	want := 1.7333333333333334 // (0.5 + 2*0.25 + 3*0.125 + 4*0.0625) / 0.9375
 	if math.Abs(g.MeanDistance()-want) > 1e-12 {
 		t.Errorf("d_avg = %v, want %v", g.MeanDistance(), want)
@@ -29,7 +39,7 @@ func TestGeometricPaperDavg(t *testing.T) {
 func TestGeometricPerNodeDavg(t *testing.T) {
 	// Ablation variant: weights scaled by class size. k=4, p_sw=0.5.
 	tor := topology.MustTorus(4)
-	g := MustGeometric(tor, 0.5, PerNode)
+	g := mustGeometric(tor, 0.5, PerNode)
 	want := 6.75 / 4.0625
 	if math.Abs(g.MeanDistance()-want) > 1e-12 {
 		t.Errorf("d_avg = %v, want %v", g.MeanDistance(), want)
@@ -40,7 +50,7 @@ func TestGeometricAsymptote(t *testing.T) {
 	// As the torus grows, per-distance d_avg approaches 1/(1-p_sw) = 2 for
 	// p_sw = 0.5 (paper Section 7).
 	tor := topology.MustTorus(20)
-	g := MustGeometric(tor, 0.5, PerDistance)
+	g := mustGeometric(tor, 0.5, PerDistance)
 	if d := g.MeanDistance(); math.Abs(d-2) > 0.01 {
 		t.Errorf("d_avg = %v, want ~2", d)
 	}
@@ -50,7 +60,7 @@ func TestGeometricSumsToOne(t *testing.T) {
 	for _, mode := range []GeometricMode{PerDistance, PerNode} {
 		for _, k := range []int{2, 3, 4, 7} {
 			tor := topology.MustTorus(k)
-			g := MustGeometric(tor, 0.4, mode)
+			g := mustGeometric(tor, 0.4, mode)
 			for src := 0; src < tor.Nodes(); src++ {
 				if s := sumProbs(g, tor, topology.Node(src)); math.Abs(s-1) > 1e-9 {
 					t.Errorf("mode=%v k=%d src=%d: probs sum to %v", mode, k, src, s)
@@ -63,7 +73,7 @@ func TestGeometricSumsToOne(t *testing.T) {
 func TestGeometricLocalityOrdering(t *testing.T) {
 	// Nearer nodes must be at least as likely as farther ones for psw < 1.
 	tor := topology.MustTorus(6)
-	g := MustGeometric(tor, 0.5, PerNode)
+	g := mustGeometric(tor, 0.5, PerNode)
 	near := g.Prob(0, tor.NodeAt(1, 0))
 	far := g.Prob(0, tor.NodeAt(3, 3))
 	if near <= far {
@@ -89,7 +99,7 @@ func TestGeometricRejectsBadParams(t *testing.T) {
 func TestGeometricPswOne(t *testing.T) {
 	// p_sw = 1 per-node degenerates to uniform.
 	tor := topology.MustTorus(4)
-	g := MustGeometric(tor, 1, PerNode)
+	g := mustGeometric(tor, 1, PerNode)
 	u := MustUniform(tor)
 	for n := 1; n < tor.Nodes(); n++ {
 		if math.Abs(g.Prob(0, topology.Node(n))-u.Prob(0, topology.Node(n))) > 1e-12 {
@@ -128,8 +138,8 @@ func TestPatternsAreTranslationInvariant(t *testing.T) {
 	// MMS solver depends on this.
 	tor := topology.MustTorus(5)
 	pats := []Pattern{
-		MustGeometric(tor, 0.5, PerDistance),
-		MustGeometric(tor, 0.3, PerNode),
+		mustGeometric(tor, 0.5, PerDistance),
+		mustGeometric(tor, 0.3, PerNode),
 		MustUniform(tor),
 	}
 	f := func(aRaw, bRaw, sRaw uint16) bool {
@@ -193,7 +203,7 @@ func TestCustomMatchesUniform(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	tor := topology.MustTorus(4)
-	if got := MustGeometric(tor, 0.5, PerDistance).Name(); got != "geometric(p_sw=0.5, per-distance)" {
+	if got := mustGeometric(tor, 0.5, PerDistance).Name(); got != "geometric(p_sw=0.5, per-distance)" {
 		t.Errorf("geometric name = %q", got)
 	}
 	if got := MustUniform(tor).Name(); got != "uniform" {

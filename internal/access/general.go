@@ -100,39 +100,3 @@ func (g *GeometricOn) MeanDistanceFrom(src topology.Node) float64 { return g.dAv
 func (g *GeometricOn) Name() string {
 	return fmt.Sprintf("geometric(p_sw=%g, %s) on %s", g.psw, g.mode, g.net.Name())
 }
-
-// UniformOn is the uniform pattern on an arbitrary network (identical to
-// Uniform on a torus; provided for interface completeness on meshes).
-type UniformOn struct {
-	net  topology.Network
-	dAvg float64
-}
-
-// NewUniformOn builds a uniform pattern on the given network (>= 2 nodes).
-func NewUniformOn(net topology.Network) (*UniformOn, error) {
-	if net.Nodes() < 2 {
-		return nil, fmt.Errorf("access: uniform pattern needs >= 2 nodes, network has %d", net.Nodes())
-	}
-	n := net.Nodes()
-	sum := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			sum += net.Distance(topology.Node(a), topology.Node(b))
-		}
-	}
-	return &UniformOn{net: net, dAvg: float64(sum) / float64(n*(n-1))}, nil
-}
-
-// Prob implements Pattern.
-func (u *UniformOn) Prob(src, dst topology.Node) float64 {
-	if src == dst {
-		return 0
-	}
-	return 1 / float64(u.net.Nodes()-1)
-}
-
-// MeanDistance implements Pattern.
-func (u *UniformOn) MeanDistance() float64 { return u.dAvg }
-
-// Name implements Pattern.
-func (u *UniformOn) Name() string { return "uniform on " + u.net.Name() }

@@ -11,7 +11,7 @@ func TestGeometricOnTorusMatchesGeometric(t *testing.T) {
 	// On a vertex-transitive network the per-origin construction must
 	// reproduce the translation-invariant one exactly.
 	tor := topology.MustTorus(4)
-	a := MustGeometric(tor, 0.5, PerDistance)
+	a := mustGeometric(tor, 0.5, PerDistance)
 	b, err := NewGeometricOn(tor, 0.5, PerDistance)
 	if err != nil {
 		t.Fatal(err)
@@ -81,27 +81,6 @@ func TestGeometricOnValidation(t *testing.T) {
 	}
 }
 
-func TestUniformOnMesh(t *testing.T) {
-	mesh := topology.MustMesh(4)
-	u, err := NewUniformOn(mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for dst := 0; dst < mesh.Nodes(); dst++ {
-		sum += u.Prob(0, topology.Node(dst))
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("probs sum to %v", sum)
-	}
-	if math.Abs(u.MeanDistance()-mesh.MeanDistanceUniform()) > 1e-12 {
-		t.Errorf("d_avg %v vs %v", u.MeanDistance(), mesh.MeanDistanceUniform())
-	}
-	if _, err := NewUniformOn(topology.MustMesh(1)); err == nil {
-		t.Error("want error for 1-node network")
-	}
-}
-
 func TestGeneralNames(t *testing.T) {
 	mesh := topology.MustMesh(3)
 	g, err := NewGeometricOn(mesh, 0.5, PerDistance)
@@ -110,12 +89,5 @@ func TestGeneralNames(t *testing.T) {
 	}
 	if g.Name() != "geometric(p_sw=0.5, per-distance) on mesh 3x3" {
 		t.Errorf("name %q", g.Name())
-	}
-	u, err := NewUniformOn(mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Name() != "uniform on mesh 3x3" {
-		t.Errorf("name %q", u.Name())
 	}
 }

@@ -141,17 +141,14 @@ type MetricsBody struct {
 // SolveResponse is the body of a successful POST /v1/solve. ErrorBound is
 // present on interpolated (surrogate-tier) answers: the certified relative
 // error bound of every reported metric, at most the request's max_error.
-// Exact answers omit it. Cache is not a wire field: the client fills it from
-// the X-Lattold-Cache response header, and it reports how the serving tier
-// satisfied the request (hit, miss, coalesced, surrogate).
+// Exact answers omit it. How the serving tier satisfied the request (hit,
+// miss, coalesced, surrogate) rides in the X-Lattold-Cache response header.
 type SolveResponse struct {
 	Metrics    MetricsBody `json:"metrics"`
 	ErrorBound float64     `json:"error_bound,omitempty"`
-	Cache      string      `json:"-"`
 }
 
-// ToleranceResponse is the body of a successful POST /v1/tolerance. Cache is
-// filled from the response header, as in SolveResponse.
+// ToleranceResponse is the body of a successful POST /v1/tolerance.
 type ToleranceResponse struct {
 	Subsystem string      `json:"subsystem"`
 	Mode      string      `json:"mode"`
@@ -159,7 +156,6 @@ type ToleranceResponse struct {
 	Zone      string      `json:"zone"`
 	Real      MetricsBody `json:"real"`
 	Ideal     MetricsBody `json:"ideal"`
-	Cache     string      `json:"-"`
 }
 
 // SweepPoint is one evaluated point of a sweep: the paper's measures plus

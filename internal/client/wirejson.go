@@ -11,8 +11,7 @@ import (
 // AppendJSON method appends exactly the bytes json.MarshalIndent(v, "", "  ")
 // produces for the same value — field order, omitempty, null versus [],
 // float formatting and string escaping included — so clients, the golden
-// error bodies, cluster relays and hedged-answer comparisons cannot tell the
-// two apart. The conformance package holds the oracle: a fuzz target and a
+// error bodies and cluster relays cannot tell the two apart. The conformance package holds the oracle: a fuzz target and a
 // reflection test that compare every response type against MarshalIndent.
 //
 // Adding a field to a response type in wire.go means adding one line to its

@@ -58,13 +58,13 @@ func wireSamples(f [4]float64, s1, s2 string, n int, feasible bool, shape uint8)
 		}
 	}
 	errBody := lattolclient.ErrorBody{Status: n, Message: s1, Field: s2}
-	solve := lattolclient.SolveResponse{Metrics: metrics(0), ErrorBound: f[1], Cache: s1}
+	solve := lattolclient.SolveResponse{Metrics: metrics(0), ErrorBound: f[1]}
 	if bit(0) {
 		solve.ErrorBound = 0
 	}
 	tol := lattolclient.ToleranceResponse{
 		Subsystem: s1, Mode: s2, Tol: f[2], Zone: s1 + s2,
-		Real: metrics(1), Ideal: metrics(2), Cache: s2,
+		Real: metrics(1), Ideal: metrics(2),
 	}
 
 	var points []lattolclient.SweepPoint

@@ -41,10 +41,13 @@ type BatchResult struct {
 // item with a nil Pattern whose Config and Solver equal an earlier item's
 // takes no solve of its own: it receives that item's result, with a lane
 // error renamed to its own index. One whose geometry (K, PRemote, Psw,
-// GeometricMode) matches an earlier elaborated item's takes its model from
-// Model.Rebase instead of Build. Both are exact — a rebased model solves
-// bit for bit like a built one — so the results equal those of the same
-// batch with its duplicates removed and every model built separately.
+// GeometricMode) matches an earlier elaborated item's is rebased onto that
+// item's model. Every other Config item with a nil Pattern is elaborated
+// into the workspace, from a table memoized per (K, Psw, GeometricMode),
+// with visits bit for bit those of Build. All of this is exact — a rebased
+// model solves bit for bit like a built one — so the results equal those of
+// the same batch with its duplicates removed and every model built
+// separately. Items with a Pattern are elaborated with Build.
 //
 // opts supplies Tolerance, MaxIterations, WarmStart and the Workspace;
 // opts.Solver is ignored (each item carries its own). WarmStart seeds each
@@ -89,6 +92,8 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 	ws.batchDupOf = dupOf
 	ws.batchSystems.reset(len(items))
 	ws.batchGeometries.reset(len(items))
+	ws.models.reset()
+	ws.floats.reset()
 
 	// Pass 1: elaborate models, solve FullAMVA and ExactMVA items, resolve the
 	// trivial ones and set duplicates aside. Whatever remains is
@@ -100,7 +105,6 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 		models[i] = nil
 		it := &items[i]
 		m := it.Model
-		geoSlot := -1
 		// Only items with a nil Pattern share, so equality never compares
 		// two Pattern implementations (which may be incomparable).
 		if m == nil && it.Config.Pattern == nil {
@@ -112,10 +116,19 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 			}
 			ws.batchSystems.record(slot, i)
 			g := it.Config.geometry()
-			if j, slot := ws.batchGeometries.lookup(g.hash(), func(j int) bool { return items[j].Config.geometry() == g }); j >= 0 {
-				m, _ = models[j].Rebase(it.Config) // refused only if invalid: Build reports it
+			if j, slot := ws.batchGeometries.lookup(g.hash(), func(j int) bool { return items[j].Config.geometry() == g }); j >= 0 && it.Config.Validate() == nil {
+				m = ws.newModel()
+				models[j].rebaseInto(m, it.Config)
 			} else {
-				geoSlot = slot
+				var err error
+				if m, err = ws.elaborate(it.Config); err != nil {
+					dst[i].Err = err
+					done[i] = true
+					continue
+				}
+				if j < 0 {
+					ws.batchGeometries.record(slot, i)
+				}
 			}
 		}
 		if m == nil {
@@ -124,9 +137,6 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 				dst[i].Err = err
 				done[i] = true
 				continue
-			}
-			if geoSlot >= 0 {
-				ws.batchGeometries.record(geoSlot, i)
 			}
 		}
 		models[i] = m

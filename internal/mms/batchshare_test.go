@@ -191,8 +191,8 @@ func TestSolveBatchElaboratesOncePerGeometry(t *testing.T) {
 
 // TestBuildAllocations pins Build's allocation count: the model and its
 // torus, the geometric pattern (struct, distance histogram, per-distance
-// probabilities), the route buffer, and one backing array each for the visit
-// vectors and the merged kernel rows — independent of K.
+// probabilities), the elaboration table's hop list, and one backing array
+// each for the visit vectors and the merged kernel rows — independent of K.
 func TestBuildAllocations(t *testing.T) {
 	for _, k := range []int{4, 10} {
 		cfg := DefaultConfig()

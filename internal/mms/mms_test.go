@@ -312,7 +312,10 @@ func TestCustomPatternRoundTrip(t *testing.T) {
 	// A custom pattern equal to the default geometric must give identical
 	// metrics.
 	tor := topology.MustTorus(4)
-	g := access.MustGeometric(tor, 0.5, access.PerDistance)
+	g, err := access.NewGeometric(tor, 0.5, access.PerDistance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	row := make([]float64, tor.Nodes())
 	for j := 1; j < tor.Nodes(); j++ {
 		row[j] = g.Prob(0, topology.Node(j))

@@ -56,8 +56,8 @@ type Model struct {
 
 	// Merged batch-kernel rows, one (visit value, physical count) list per
 	// role (memory, outbound, inbound) with zero-visit stations dropped —
-	// computed once at Build so SolveBatch's per-item kernel load reads
-	// plain cached slices (see batchShapeOf, solveSymmetricBatch).
+	// computed once at elaboration so SolveBatch's per-item kernel load
+	// reads plain cached slices (see batchShapeOf, solveSymmetricBatch).
 	mergeVals   [3][]float64
 	mergeCounts [3][]float64
 
@@ -81,45 +81,14 @@ func Build(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{cfg: cfg, torus: torus, pattern: pat}
-	m.computeVisits()
+	// The table is used once, so its pattern row lives in the memory visit
+	// vector, which the fill then overwrites in place: one allocation fewer
+	// than a table of its own.
+	vis := make([]float64, 3*torus.Nodes())
+	tab := newElabTable(torus, pat, vis[:torus.Nodes()])
+	nnz := m.setVisits(&tab, vis)
+	m.setRows(nnz, make([]float64, rowFloats(nnz)))
 	return m, nil
-}
-
-// computeVisits fills the class-0 visit ratios per thread cycle:
-//
-//	memory_j:   (1-p) for j = 0, p·Prob(0,j) otherwise
-//	outbound_0: p              (every remote request is injected here)
-//	outbound_j: em[0][j], j≠0  (every response leaves its home node here)
-//	inbound_j:  forward- plus return-route traversals through node j
-//
-// and merges each role's visits into batch-kernel rows. The three visit
-// vectors share one backing array and the six row lists another, sized up
-// front from the non-zero visit counts (a role has at most that many
-// distinct values), so elaboration allocates twice here regardless of K.
-func (m *Model) computeVisits() {
-	var q func(topology.Node) float64
-	if m.pattern != nil {
-		q = func(dst topology.Node) float64 { return m.pattern.Prob(0, dst) }
-	}
-	m.visitMem, m.visitOut, m.visitIn = visitsFrom(m.torus, 0, m.cfg.PRemote, q)
-	vis := [3][]float64{m.visitMem, m.visitOut, m.visitIn}
-	var nnz [3]int
-	total := 0
-	for r, v := range vis {
-		for _, x := range v {
-			if x != 0 {
-				nnz[r]++
-			}
-		}
-		total += nnz[r]
-	}
-	rows := make([]float64, 2*total)
-	for r, v := range vis {
-		n := nnz[r]
-		vals, counts := rows[:0:n], rows[n:n:2*n]
-		m.mergeVals[r], m.mergeCounts[r] = distinctVisits(v, vals, counts)
-		rows = rows[2*n:]
-	}
 }
 
 // visitsFrom computes the per-cycle visit ratios of the class anchored at
@@ -130,7 +99,8 @@ func (m *Model) computeVisits() {
 // included), and responses return through outbound[dst] and the reverse
 // route. q must sum to 1 over dst ≠ home (it is ignored when p == 0). The
 // three vectors share one backing array, and every route is walked into one
-// reused buffer.
+// reused buffer. TopoModel elaborates general networks with it; a torus
+// Model runs fillVisits, which adds in the same order.
 func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topology.Node) float64) (mem, out, in []float64) {
 	n := t.Nodes()
 	vis := make([]float64, 3*n)
@@ -185,10 +155,17 @@ func (m *Model) Rebase(cfg Config) (*Model, bool) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false
 	}
-	n := &Model{cfg: cfg, torus: m.torus, pattern: m.pattern,
+	n := new(Model)
+	m.rebaseInto(n, cfg)
+	return n, true
+}
+
+// rebaseInto assigns dst in full: cfg (which Rebase would accept) over this
+// model's topology, pattern, visits and rows.
+func (m *Model) rebaseInto(dst *Model, cfg Config) {
+	*dst = Model{cfg: cfg, torus: m.torus, pattern: m.pattern,
 		visitMem: m.visitMem, visitOut: m.visitOut, visitIn: m.visitIn,
 		mergeVals: m.mergeVals, mergeCounts: m.mergeCounts}
-	return n, true
 }
 
 // Torus returns the model's topology.

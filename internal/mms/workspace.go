@@ -6,17 +6,20 @@ import (
 	"lattol/internal/mva"
 )
 
-// Workspace holds the reusable scratch buffers of the model solvers: the
-// lockstep batch kernel that runs every symmetric-AMVA solve (Model.Solve is
-// a one-lane batch) and an mva.Workspace for the multiclass solvers. A
-// long-lived solver (a serving pool worker, an eval.Solver) keeps one
-// workspace and reuses it for every solve or batch, so the steady-state
-// solve loop performs no per-call allocations.
+// Workspace holds the reusable scratch of the model solvers and of
+// SolveBatch's elaboration: the lockstep batch kernel that runs every
+// symmetric-AMVA solve (Model.Solve is a one-lane batch), an mva.Workspace
+// for the multiclass solvers, and the tables and slabs SolveBatch builds
+// its own models from. A long-lived solver (a serving pool worker, an
+// eval.Solver) keeps one workspace and reuses it for every solve or batch,
+// so the steady-state solve loop, elaboration of new batch items included,
+// performs no per-call allocations.
 //
 // Reuse contract: a Workspace may be used by one goroutine at a time. Every
 // solve overwrites the buffers in place; the Metrics returned by Model.Solve
-// is a plain value and never aliases the workspace. The zero value is ready
-// to use.
+// and SolveBatch are plain values and never alias the workspace. A model
+// SolveBatch builds in the slabs lives until the next SolveBatch on the
+// workspace and never leaves the call. The zero value is ready to use.
 type Workspace struct {
 	// mvaWS backs the FullAMVA multiclass solver and the extension solvers
 	// (topology comparison, heterogeneous and hot-spot workloads).
@@ -39,6 +42,12 @@ type Workspace struct {
 	batchDupOf      []int
 	batchSystems    itemIndex
 	batchGeometries itemIndex
+	// Elaboration state of SolveBatch: the memoized tables per (K, Psw,
+	// GeometricMode) and the slabs holding the models, visit vectors and
+	// merged rows of the items it builds or rebases itself (see elaborate).
+	tables map[tableKey]*elabTable
+	models slab[Model]
+	floats slab[float64]
 }
 
 func resizeF(buf []float64, n int) []float64 {

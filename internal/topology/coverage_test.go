@@ -5,11 +5,23 @@ import (
 	"testing"
 )
 
+// nodesAtDistance returns the nodes at exactly h hops from origin, in
+// ascending node order.
+func nodesAtDistance(t *Torus, origin Node, h int) []Node {
+	var out []Node
+	for n := 0; n < t.Nodes(); n++ {
+		if t.Distance(origin, Node(n)) == h {
+			out = append(out, Node(n))
+		}
+	}
+	return out
+}
+
 func TestNodesAtDistance(t *testing.T) {
 	tor := MustTorus(4)
 	// Distance-1 neighbors of node 0 on a 4x4 torus: 1, 3 (x-ring), 4, 12
 	// (y-ring).
-	got := tor.NodesAtDistance(0, 1)
+	got := nodesAtDistance(tor, 0, 1)
 	want := map[Node]bool{1: true, 3: true, 4: true, 12: true}
 	if len(got) != 4 {
 		t.Fatalf("neighbors %v", got)
@@ -19,13 +31,13 @@ func TestNodesAtDistance(t *testing.T) {
 			t.Errorf("unexpected neighbor %d", n)
 		}
 	}
-	if len(tor.NodesAtDistance(0, 0)) != 1 {
+	if len(nodesAtDistance(tor, 0, 0)) != 1 {
 		t.Error("distance 0 should return only the origin")
 	}
 	// Counts must agree with the histogram at every distance.
 	hist := tor.DistanceHistogram()
 	for h, count := range hist {
-		if got := len(tor.NodesAtDistance(5, h)); got != count {
+		if got := len(nodesAtDistance(tor, 5, h)); got != count {
 			t.Errorf("h=%d: %d nodes, histogram says %d", h, got, count)
 		}
 	}

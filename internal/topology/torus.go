@@ -79,18 +79,6 @@ func (t *Torus) DistanceHistogram() []int {
 	return count
 }
 
-// NodesAtDistance returns the nodes at exactly h hops from origin, in
-// ascending node order.
-func (t *Torus) NodesAtDistance(origin Node, h int) []Node {
-	var out []Node
-	for n := 0; n < t.Nodes(); n++ {
-		if t.Distance(origin, Node(n)) == h {
-			out = append(out, Node(n))
-		}
-	}
-	return out
-}
-
 // MeanDistanceUniform returns the average hop distance from a node to a
 // destination chosen uniformly among the other P-1 nodes. For k=4 this is
 // 32/15 ≈ 2.13; for k=10 it is 5.05 (the values quoted in the paper's
