@@ -150,10 +150,22 @@ func TestGoldenError503(t *testing.T) {
 	checkGolden(t, "error_503.json", raw.Body)
 }
 
-// TestPostRawIsOneExchange: every call reaches the server exactly once,
-// whatever the answer. Overload and gateway statuses come back verbatim with
-// their Retry-After, and a connection dropped without an answer is an error,
-// not a second attempt.
+// clientPaths are the two ways a Client makes its exchange: its own HTTP/1.1
+// exchange (zero Options) and net/http through an explicit HTTPClient.
+var clientPaths = []struct {
+	name string
+	opts func() lattolclient.Options
+}{
+	{"zero Options", func() lattolclient.Options { return lattolclient.Options{} }},
+	{"HTTPClient", func() lattolclient.Options {
+		return lattolclient.Options{HTTPClient: &http.Client{Transport: &http.Transport{}}}
+	}},
+}
+
+// TestPostRawIsOneExchange: on either path, every call reaches the server
+// exactly once, whatever the answer. Overload and gateway statuses come back
+// verbatim with their Retry-After, and a connection dropped without an
+// answer is an error, not a second attempt.
 func TestPostRawIsOneExchange(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -167,51 +179,60 @@ func TestPostRawIsOneExchange(t *testing.T) {
 		{name: "dropped connection"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			body := fmt.Sprintf(`{"error":{"status":%d,"message":"no"}}`, tc.status)
-			var calls atomic.Int64
-			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				calls.Add(1)
-				if tc.status == 0 {
-					conn, _, err := w.(http.Hijacker).Hijack()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					conn.Close()
-					return
-				}
-				if tc.retryAfter != "" {
-					w.Header().Set("Retry-After", tc.retryAfter)
-				}
-				w.WriteHeader(tc.status)
-				_, _ = w.Write([]byte(body))
-			}))
-			defer hs.Close()
-
-			c := lattolclient.New(hs.URL, lattolclient.Options{})
-			raw, err := c.PostRaw(context.Background(), "/v1/solve", []byte(`{}`), nil)
-			if n := calls.Load(); n != 1 {
-				t.Errorf("handler calls = %d, want 1", n)
-			}
-			if tc.status == 0 {
-				if err == nil {
-					t.Fatalf("PostRaw = %+v, want an error for a dropped connection", raw)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if raw.Status != tc.status {
-				t.Errorf("status = %d, want %d", raw.Status, tc.status)
-			}
-			if ra := raw.Header.Get("Retry-After"); ra != tc.retryAfter {
-				t.Errorf("Retry-After = %q, want %q", ra, tc.retryAfter)
-			}
-			if string(raw.Body) != body {
-				t.Errorf("body = %q, want %q", raw.Body, body)
+			for _, path := range clientPaths {
+				t.Run(path.name, func(t *testing.T) {
+					testOneExchange(t, path.opts(), tc.status, tc.retryAfter)
+				})
 			}
 		})
+	}
+}
+
+func testOneExchange(t *testing.T, opts lattolclient.Options, status int, retryAfter string) {
+	body := fmt.Sprintf(`{"error":{"status":%d,"message":"no"}}`, status)
+	var calls atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		if status == 0 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		if retryAfter != "" {
+			w.Header().Set("Retry-After", retryAfter)
+		}
+		w.WriteHeader(status)
+		_, _ = w.Write([]byte(body))
+	}))
+	defer hs.Close()
+
+	c := lattolclient.New(hs.URL, opts)
+	defer c.CloseIdleConnections()
+	raw, err := c.PostRaw(context.Background(), "/v1/solve", []byte(`{}`), nil)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("handler calls = %d, want 1", n)
+	}
+	if status == 0 {
+		if err == nil {
+			t.Fatalf("PostRaw = %+v, want an error for a dropped connection", raw)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.Status != status {
+		t.Errorf("status = %d, want %d", raw.Status, status)
+	}
+	if ra := raw.Header.Get("Retry-After"); ra != retryAfter {
+		t.Errorf("Retry-After = %q, want %q", ra, retryAfter)
+	}
+	if string(raw.Body) != body {
+		t.Errorf("body = %q, want %q", raw.Body, body)
 	}
 }
 
@@ -419,5 +440,201 @@ func TestClientReusesConnection(t *testing.T) {
 	}
 	if n := conns.Load(); n != 1 {
 		t.Errorf("50 calls opened %d TCP connections, want 1", n)
+	}
+}
+
+// connCounter tracks a test server's connections through its ConnState hook.
+type connCounter struct {
+	opened, closed atomic.Int64
+}
+
+func (cc *connCounter) hook(_ net.Conn, st http.ConnState) {
+	switch st {
+	case http.StateNew:
+		cc.opened.Add(1)
+	case http.StateClosed, http.StateHijacked:
+		cc.closed.Add(1)
+	}
+}
+
+// waitClosed waits until the server has seen n connections close.
+func (cc *connCounter) waitClosed(t *testing.T, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); cc.closed.Load() < n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server saw %d connections close, want %d", cc.closed.Load(), n)
+		}
+	}
+}
+
+// startCounted starts a test server whose connections cc counts.
+func startCounted(t *testing.T, h http.Handler) (*httptest.Server, *connCounter) {
+	t.Helper()
+	cc := &connCounter{}
+	hs := httptest.NewUnstartedServer(h)
+	hs.Config.ConnState = cc.hook
+	hs.Start()
+	t.Cleanup(hs.Close)
+	return hs, cc
+}
+
+// TestClientPoolsConnections: concurrent calls share the Client's pool, so 8
+// goroutines never need more than 8 connections. net/http's default
+// transport keeps 2 idle connections per host and redials the rest.
+func TestClientPoolsConnections(t *testing.T) {
+	hs, cc := startCounted(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{"ok":true}`))
+	}))
+	c := lattolclient.New(hs.URL, lattolclient.Options{})
+	defer c.CloseIdleConnections()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				raw, err := c.PostRaw(context.Background(), "/pool", []byte(`{}`), nil)
+				if err == nil && raw.Status != http.StatusOK {
+					err = fmt.Errorf("status %d, want 200", raw.Status)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if n := cc.opened.Load(); n > 8 {
+		t.Errorf("8 goroutines × 200 calls opened %d connections, want at most 8", n)
+	}
+}
+
+// TestClientContextEndsMidAnswer: when the context's deadline passes or it
+// is cancelled while the answer is still arriving, PostRaw returns the
+// context's error at once, drops that connection, and the next call
+// succeeds on a fresh one.
+func TestClientContextEndsMidAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		want    error
+		context func(midAnswer <-chan struct{}) (context.Context, context.CancelFunc)
+	}{
+		{"deadline", context.DeadlineExceeded, func(<-chan struct{}) (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 100*time.Millisecond)
+		}},
+		{"cancel", context.Canceled, func(midAnswer <-chan struct{}) (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-midAnswer
+				cancel()
+			}()
+			return ctx, cancel
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			midAnswer := make(chan struct{}, 1)
+			release := make(chan struct{})
+			hs, cc := startCounted(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/ok" {
+					_, _ = w.Write([]byte(`{"ok":true}`))
+					return
+				}
+				// Half an answer, then a stall until the client goes away.
+				w.Header().Set("Content-Length", "100")
+				_, _ = w.Write([]byte(`{"partial":`))
+				w.(http.Flusher).Flush()
+				midAnswer <- struct{}{}
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+			}))
+			defer close(release)
+
+			c := lattolclient.New(hs.URL, lattolclient.Options{})
+			defer c.CloseIdleConnections()
+			ctx, cancel := tc.context(midAnswer)
+			defer cancel()
+			start := time.Now()
+			raw, err := c.PostRaw(ctx, "/stall", nil, nil)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("PostRaw = (%+v, %v), want an error wrapping %v", raw, err, tc.want)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("PostRaw returned after %v, want about 100 ms", took)
+			}
+			cc.waitClosed(t, 1)
+
+			raw, err = c.PostRaw(context.Background(), "/ok", nil, nil)
+			if err != nil || raw.Status != http.StatusOK {
+				t.Fatalf("next call = (%+v, %v), want a 200", raw, err)
+			}
+			if n := cc.opened.Load(); n != 2 {
+				t.Errorf("server saw %d connections, want 2 (the dropped one and a fresh one)", n)
+			}
+		})
+	}
+}
+
+// TestClientRefusesUnsafeRequests: a header name or value, or a client ID,
+// that would end a header line early, a framing header the Client writes
+// itself, or a path with a space is an error before anything is written.
+func TestClientRefusesUnsafeRequests(t *testing.T) {
+	hs, cc := startCounted(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("request reached the server: %s %s", r.Method, r.URL)
+	}))
+	for _, tc := range []struct {
+		name     string
+		clientID string
+		path     string
+		hdr      http.Header
+	}{
+		{name: "CRLF in value", hdr: http.Header{"X-Lattold-Forward": {"a\r\nX-Evil: 1"}}},
+		{name: "LF in value", hdr: http.Header{"X-Trace": {"a\nb"}}},
+		{name: "CR in value", hdr: http.Header{"X-Trace": {"a\rb"}}},
+		{name: "CRLF in name", hdr: http.Header{"X-A\r\nX-Evil": {"1"}}},
+		{name: "colon in name", hdr: http.Header{"X-A: b": {"1"}}},
+		{name: "framing header", hdr: http.Header{"Content-Length": {"0"}}},
+		{name: "CRLF in client ID", clientID: "id\r\nX-Evil: 1"},
+		{name: "space in path", path: "/v1/solve HTTP/1.1\r\nX-Evil: 1\r\n\r\nPOST /"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := lattolclient.New(hs.URL, lattolclient.Options{ClientID: tc.clientID})
+			path := tc.path
+			if path == "" {
+				path = "/v1/solve"
+			}
+			if raw, err := c.PostRaw(context.Background(), path, []byte(`{}`), tc.hdr); err == nil {
+				t.Errorf("PostRaw = %+v, want an error", raw)
+			}
+		})
+	}
+	if n := cc.opened.Load(); n != 0 {
+		t.Errorf("server saw %d connections, want none", n)
+	}
+}
+
+// TestClientRefusesNonHTTPBase: the Client's own exchange speaks plain
+// http:// only (lattold serves no TLS); any other base URL is an error.
+func TestClientRefusesNonHTTPBase(t *testing.T) {
+	for _, base := range []string{
+		"https://127.0.0.1:8443",
+		"ftp://127.0.0.1:21",
+		"127.0.0.1:8080",
+		"",
+		"http://",
+		"http://user:pw@127.0.0.1:8080",
+		"http://127.0.0.1:8080?x=1",
+	} {
+		c := lattolclient.New(base, lattolclient.Options{})
+		if raw, err := c.PostRaw(context.Background(), "/v1/solve", []byte(`{}`), nil); err == nil {
+			t.Errorf("base %q: PostRaw = %+v, want an error", base, raw)
+		}
 	}
 }

@@ -36,7 +36,9 @@ type Options struct {
 	ForwardTimeout time.Duration
 	// NewTransport builds the per-peer transport; nil selects a
 	// lattolclient.Client, which never retries: the serving layer's
-	// local-solve fallback is the forward's only retry policy.
+	// local-solve fallback is the forward's only retry policy. A transport
+	// with a CloseIdleConnections method (a lattolclient.Client has one) has
+	// it called when its peer leaves the ring.
 	NewTransport func(peer string) Transport
 }
 
@@ -119,7 +121,35 @@ func (c *Cluster) SetMembers(members []string) {
 	} else {
 		members = append([]string{c.self}, members...)
 	}
-	c.ring.Store(NewRing(members, c.opts.VirtualNodes))
+	c.install(NewRing(members, c.opts.VirtualNodes))
+}
+
+// install swaps in a new ring and drops the transports of peers it no longer
+// names, closing their pooled connections: a connection never outlives its
+// peer's membership. Transports are built and dropped under one lock, so a
+// transport kept in the map always belongs to a member of the current ring.
+func (c *Cluster) install(r *Ring) {
+	var dropped []Transport
+	c.mu.Lock()
+	c.ring.Store(r)
+	for peer, t := range c.transports {
+		if !r.Has(peer) {
+			delete(c.transports, peer)
+			dropped = append(dropped, t)
+		}
+	}
+	c.mu.Unlock()
+	for _, t := range dropped {
+		closeIdle(t)
+	}
+}
+
+// closeIdle closes a transport's pooled connections, when it pools any (a
+// *lattolclient.Client does).
+func closeIdle(t Transport) {
+	if p, ok := t.(interface{ CloseIdleConnections() }); ok {
+		p.CloseIdleConnections()
+	}
 }
 
 // Owner resolves hash h to its owning node under the current ring and
@@ -153,20 +183,26 @@ func (c *Cluster) Leave() {
 				kept = append(kept, m)
 			}
 		}
-		c.ring.Store(NewRing(kept, c.opts.VirtualNodes))
+		c.install(NewRing(kept, c.opts.VirtualNodes))
 	}
 }
 
-// transport returns (building on demand) the transport for a peer.
-func (c *Cluster) transport(peer string) Transport {
+// transport returns the transport for a peer, building it on demand, and
+// whether it is kept for later calls. A peer the current ring does not name
+// (the caller looked its owner up on a ring since replaced) gets a transport
+// that is not kept: Forward closes its connections after the one call.
+func (c *Cluster) transport(peer string) (t Transport, kept bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.transports[peer]
-	if t == nil {
-		t = c.opts.NewTransport(peer)
-		c.transports[peer] = t
+	if t := c.transports[peer]; t != nil {
+		return t, true
 	}
-	return t
+	t = c.opts.NewTransport(peer)
+	if !c.ring.Load().Has(peer) {
+		return t, false
+	}
+	c.transports[peer] = t
+	return t, true
 }
 
 // Forward sends raw request bytes to a peer, marked with ForwardHeader so
@@ -180,5 +216,9 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte) (
 	ctx, cancel := context.WithTimeout(ctx, c.opts.ForwardTimeout)
 	defer cancel()
 	hdr := http.Header{ForwardHeader: []string{c.self}}
-	return c.transport(peer).PostRaw(ctx, path, body, hdr)
+	t, kept := c.transport(peer)
+	if !kept {
+		defer closeIdle(t)
+	}
+	return t.PostRaw(ctx, path, body, hdr)
 }

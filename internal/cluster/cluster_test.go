@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	lattolclient "lattol/internal/client"
 	"lattol/internal/cluster"
@@ -225,4 +229,76 @@ func TestStressChurn(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestDroppedPeerConnectionsClose: the default transport pools its
+// connections per peer, and a membership change that drops the peer closes
+// them — the peer's server sees every connection reach StateClosed. A
+// forward to a peer the ring no longer names still works, on a connection
+// that closes after it.
+func TestDroppedPeerConnectionsClose(t *testing.T) {
+	const concurrent = 4
+	var opened, closed atomic.Int64
+	var arrived sync.WaitGroup
+	arrived.Add(concurrent)
+	var first atomic.Int64
+	peer := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The first calls wait for each other, so each holds its own
+		// connection.
+		if first.Add(1) <= concurrent {
+			arrived.Done()
+			arrived.Wait()
+		}
+		_, _ = w.Write([]byte("{}"))
+	}))
+	peer.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			opened.Add(1)
+		case http.StateClosed:
+			closed.Add(1)
+		}
+	}
+	peer.Start()
+	defer peer.Close()
+	waitClosed := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); closed.Load() < n; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("peer saw %d of %d connections close", closed.Load(), n)
+			}
+		}
+	}
+
+	c, err := cluster.New("http://self.invalid:1", []string{peer.URL}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := func() {
+		resp, err := c.Forward(context.Background(), peer.URL, "/v1/solve", []byte("{}"))
+		if err != nil || resp.Status != http.StatusOK {
+			t.Errorf("Forward = (%+v, %v), want a 200", resp, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); forward() }()
+	}
+	wg.Wait()
+	if n := opened.Load(); n != concurrent {
+		t.Fatalf("peer saw %d connections, want %d", n, concurrent)
+	}
+	if n := closed.Load(); n != 0 {
+		t.Fatalf("%d connections closed while the peer was a member, want 0", n)
+	}
+
+	c.SetMembers(nil)
+	waitClosed(concurrent)
+
+	forward()
+	waitClosed(concurrent + 1)
+	if n := opened.Load(); n != concurrent+1 {
+		t.Errorf("peer saw %d connections, want %d", n, concurrent+1)
+	}
 }

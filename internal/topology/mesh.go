@@ -113,21 +113,6 @@ func (m *Mesh) AppendRoute(buf []Node, src, dst Node) []Node {
 // Name implements Network.
 func (m *Mesh) Name() string { return fmt.Sprintf("mesh %dx%d", m.k, m.k) }
 
-// MeanDistanceUniform returns the mean hop distance between distinct node
-// pairs (averaged over ordered pairs).
-func (m *Mesh) MeanDistanceUniform() float64 {
-	if m.Nodes() == 1 {
-		return 0
-	}
-	sum := 0
-	for a := 0; a < m.Nodes(); a++ {
-		for b := 0; b < m.Nodes(); b++ {
-			sum += m.Distance(Node(a), Node(b))
-		}
-	}
-	return float64(sum) / float64(m.Nodes()*(m.Nodes()-1))
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
