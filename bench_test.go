@@ -32,7 +32,6 @@ import (
 	"lattol/internal/simmms"
 	"lattol/internal/surrogate"
 	"lattol/internal/tolerance"
-	"lattol/internal/topology"
 )
 
 func benchErr(b *testing.B, err error) {
@@ -268,7 +267,7 @@ func BenchmarkAblationPattern(b *testing.B) {
 		}},
 		{"uniform", func() mms.Config {
 			cfg := mms.DefaultConfig()
-			cfg.Pattern = access.MustUniform(topology.MustTorus(cfg.K))
+			cfg.Uniform = true
 			return cfg
 		}},
 	} {

@@ -14,46 +14,25 @@ import (
 	"log"
 	"os"
 
-	"lattol/internal/access"
 	"lattol/internal/bottleneck"
 	"lattol/internal/mms"
 	"lattol/internal/report"
 	"lattol/internal/tolerance"
-	"lattol/internal/topology"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lattol: ")
 
-	var (
-		k       = flag.Int("k", 4, "PEs per torus dimension (P = k²)")
-		nt      = flag.Int("nt", 8, "threads per processor n_t")
-		r       = flag.Float64("r", 10, "thread runlength R")
-		l       = flag.Float64("l", 10, "memory access time L")
-		s       = flag.Float64("s", 10, "switch delay S")
-		p       = flag.Float64("p", 0.2, "remote access probability p_remote")
-		psw     = flag.Float64("psw", 0.5, "geometric locality parameter p_sw")
-		c       = flag.Float64("c", 0, "context switch overhead C")
-		uniform = flag.Bool("uniform", false, "use the uniform remote access pattern")
-		solver  = flag.String("solver", "symmetric", "solver: symmetric, full or exact")
-		memp    = flag.Int("memports", 1, "parallel ports per memory module")
-		swp     = flag.Int("swports", 1, "parallel routing engines per switch")
-	)
+	var cfg mms.Config
+	cfg.BindFlags(flag.CommandLine)
+	flag.Float64Var(&cfg.ContextSwitch, "c", 0, "context switch overhead C")
+	flag.BoolVar(&cfg.Uniform, "uniform", false, "use the uniform remote access pattern")
+	flag.IntVar(&cfg.MemoryPorts, "memports", 1, "parallel ports per memory module")
+	flag.IntVar(&cfg.SwitchPorts, "swports", 1, "parallel routing engines per switch")
+	solver := flag.String("solver", "symmetric", "solver: symmetric, full or exact")
 	flag.Parse()
 
-	cfg := mms.Config{
-		K: *k, Threads: *nt, Runlength: *r, MemoryTime: *l, SwitchTime: *s,
-		PRemote: *p, Psw: *psw, ContextSwitch: *c,
-		MemoryPorts: *memp, SwitchPorts: *swp,
-	}
-	if *uniform {
-		u, err := access.NewUniform(topology.MustTorus(*k))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Pattern = u
-	}
 	sv, err := mms.ParseSolver(*solver)
 	if err != nil {
 		log.Fatal(err)
@@ -83,7 +62,8 @@ func main() {
 
 	t := report.NewTable(fmt.Sprintf(
 		"MMS %dx%d torus, n_t=%d R=%g L=%g S=%g p_remote=%g (%s pattern, d_avg=%.3f)",
-		*k, *k, *nt, *r, *l, *s, *p, patternName(model), model.MeanDistance()),
+		cfg.K, cfg.K, cfg.Threads, cfg.Runlength, cfg.MemoryTime, cfg.SwitchTime, cfg.PRemote,
+		patternName(model), model.MeanDistance()),
 		"measure", "value")
 	t.Add("U_p (processor utilization)", report.Float(met.Up, 4))
 	t.Add("lambda (memory access rate)", report.Float(met.LambdaProc, 5))
@@ -99,7 +79,7 @@ func main() {
 	t.Add("lambda_net saturation (Eq.4)", report.Float(ba.NetSaturationRate, 5))
 	t.Add("critical p_remote (Eq.5)", report.Float(ba.CriticalPRemote, 3))
 	t.Add("saturation p_remote", report.Float(ba.SaturationPRemote, 3))
-	t.Add("operating regime", ba.ClassifyRegime(*p).String())
+	t.Add("operating regime", ba.ClassifyRegime(cfg.PRemote).String())
 	fmt.Fprint(os.Stdout, t.String())
 }
 

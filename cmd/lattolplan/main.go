@@ -59,14 +59,6 @@ func main() {
 		to       = flag.Float64("to", 0, "frontier range end")
 		steps    = flag.Int("steps", 10, "frontier points")
 
-		k   = flag.Int("k", 4, "PEs per torus dimension")
-		nt  = flag.Int("nt", 8, "threads per processor")
-		r   = flag.Float64("r", 10, "thread runlength R")
-		l   = flag.Float64("l", 10, "memory access time L")
-		s   = flag.Float64("s", 10, "switch delay S")
-		p   = flag.Float64("p", 0.2, "remote access probability")
-		psw = flag.Float64("psw", 0.5, "geometric locality parameter")
-
 		backend     = flag.String("backend", "solver", "evaluation backend: solver (analytical) or sim (parallel replicated simulation)")
 		simEngine   = flag.String("sim-engine", "direct", "sim backend: simulation engine, direct or stpn")
 		simSeed     = flag.Int64("sim-seed", 1, "sim backend: base random seed")
@@ -77,6 +69,8 @@ func main() {
 		simPrec     = flag.Float64("sim-precision", 0, "sim backend: target relative CI half-width of U_p per probe (0 = exactly -sim-reps)")
 		simWorkers  = flag.Int("sim-workers", 0, "sim backend: replication worker pool size (0 = GOMAXPROCS)")
 	)
+	var base mms.Config
+	base.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	knob, err := mms.ParseParam(*knobName)
@@ -92,7 +86,7 @@ func main() {
 		log.Fatal(err)
 	}
 	spec := inverse.Spec{
-		Base:      mms.Config{K: *k, Threads: *nt, Runlength: *r, MemoryTime: *l, SwitchTime: *s, PRemote: *p, Psw: *psw},
+		Base:      base,
 		Knob:      knob,
 		Metric:    metric,
 		Target:    *target,

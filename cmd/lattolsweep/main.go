@@ -37,18 +37,11 @@ func main() {
 		to    = flag.Float64("to", 0.9, "range end")
 		steps = flag.Int("steps", 10, "number of points (>= 1)")
 		csv   = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-
-		k   = flag.Int("k", 4, "PEs per torus dimension")
-		nt  = flag.Int("nt", 8, "threads per processor")
-		r   = flag.Float64("r", 10, "thread runlength R")
-		l   = flag.Float64("l", 10, "memory access time L")
-		s   = flag.Float64("s", 10, "switch delay S")
-		p   = flag.Float64("p", 0.2, "remote access probability")
-		psw = flag.Float64("psw", 0.5, "geometric locality parameter")
 	)
+	var base mms.Config
+	base.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	base := mms.Config{K: *k, Threads: *nt, Runlength: *r, MemoryTime: *l, SwitchTime: *s, PRemote: *p, Psw: *psw}
 	knob, err := mms.ParseParam(*param)
 	if err != nil {
 		log.Fatal(err)
@@ -75,7 +68,8 @@ func main() {
 
 	t := report.NewTable(
 		fmt.Sprintf("sweep of %s over [%g, %g] (base: k=%d nt=%d R=%g L=%g S=%g p=%g psw=%g)",
-			*param, *from, *to, *k, *nt, *r, *l, *s, *p, *psw),
+			*param, *from, *to, base.K, base.Threads, base.Runlength, base.MemoryTime, base.SwitchTime,
+			base.PRemote, base.Psw),
 		*param, "U_p", "lambda_net", "S_obs", "L_obs", "tol_network", "tol_memory")
 	for i, rw := range rows {
 		met := rw.Metrics

@@ -24,12 +24,10 @@ import (
 	"os"
 	"time"
 
-	"lattol/internal/access"
 	"lattol/internal/mms"
 	"lattol/internal/replicate"
 	"lattol/internal/report"
 	"lattol/internal/simmms"
-	"lattol/internal/topology"
 )
 
 func main() {
@@ -46,19 +44,14 @@ func main() {
 		maxreps  = flag.Int("maxreps", 64, "replication cap for -precision")
 		memdist  = flag.String("memdist", "exp", "memory service distribution: exp, det or erlang4")
 		swdist   = flag.String("swdist", "exp", "switch service distribution: exp, det or erlang4")
-		k        = flag.Int("k", 4, "PEs per torus dimension")
-		nt       = flag.Int("nt", 8, "threads per processor")
-		r        = flag.Float64("r", 10, "thread runlength R")
-		l        = flag.Float64("l", 10, "memory access time L")
-		s        = flag.Float64("s", 10, "switch delay S")
-		p        = flag.Float64("p", 0.2, "remote access probability")
-		psw      = flag.Float64("psw", 0.5, "geometric locality parameter")
-		uniform  = flag.Bool("uniform", false, "use the uniform remote access pattern")
 		window   = flag.Int("window", 0, "max outstanding remote accesses per PE (0 = unbounded; direct engine only)")
 		priority = flag.Bool("priority", false, "serve local memory requests first (direct engine only)")
-		memp     = flag.Int("memports", 1, "parallel ports per memory module")
-		swp      = flag.Int("swports", 1, "parallel routing engines per switch")
 	)
+	var cfg mms.Config
+	cfg.BindFlags(flag.CommandLine)
+	flag.BoolVar(&cfg.Uniform, "uniform", false, "use the uniform remote access pattern")
+	flag.IntVar(&cfg.MemoryPorts, "memports", 1, "parallel ports per memory module")
+	flag.IntVar(&cfg.SwitchPorts, "swports", 1, "parallel routing engines per switch")
 	flag.Parse()
 
 	if *warmup >= *duration {
@@ -71,18 +64,6 @@ func main() {
 		log.Fatalf("-precision needs at least -reps 2 (a variance estimate), got -reps %d", *reps)
 	}
 
-	cfg := mms.Config{
-		K: *k, Threads: *nt, Runlength: *r, MemoryTime: *l, SwitchTime: *s,
-		PRemote: *p, Psw: *psw,
-		MemoryPorts: *memp, SwitchPorts: *swp,
-	}
-	if *uniform {
-		u, err := access.NewUniform(topology.MustTorus(*k))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Pattern = u
-	}
 	opts := simmms.Options{
 		Seed: *seed, Warmup: *warmup, Duration: *duration,
 		MemDist:          parseDist(*memdist),

@@ -14,10 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"lattol/internal/access"
 	"lattol/internal/mms"
 	"lattol/internal/report"
-	"lattol/internal/topology"
 )
 
 func main() {
@@ -30,13 +28,9 @@ func main() {
 		for _, uniform := range []bool{false, true} {
 			cfg := mms.DefaultConfig()
 			cfg.K = k
+			cfg.Uniform = uniform
 			name := "geometric"
 			if uniform {
-				u, err := access.NewUniform(topology.MustTorus(k))
-				if err != nil {
-					log.Fatal(err)
-				}
-				cfg.Pattern = u
 				name = "uniform"
 			}
 			model, err := mms.Build(cfg)

@@ -6,8 +6,7 @@
 // The paper characterizes locality with a geometric distribution governed by
 // the switch-locality parameter p_sw: the probability of accessing a module
 // at distance h falls by a factor p_sw per hop. It compares against a uniform
-// distribution over all P-1 remote modules. Both are provided here, plus an
-// arbitrary per-node pattern for experimentation.
+// distribution over all P-1 remote modules. Both are provided here.
 package access
 
 import (
@@ -150,15 +149,6 @@ func NewUniform(t *topology.Torus) (*Uniform, error) {
 	return &Uniform{torus: t, dAvg: t.MeanDistanceUniform()}, nil
 }
 
-// MustUniform is NewUniform for known-good tori; it panics on error.
-func MustUniform(t *topology.Torus) *Uniform {
-	u, err := NewUniform(t)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Prob implements Pattern.
 func (u *Uniform) Prob(src, dst topology.Node) float64 {
 	if src == dst {
@@ -172,55 +162,3 @@ func (u *Uniform) MeanDistance() float64 { return u.dAvg }
 
 // Name implements Pattern.
 func (u *Uniform) Name() string { return "uniform" }
-
-// Custom is an arbitrary translation-invariant pattern specified by one
-// probability row for origin node 0; rows for other origins are obtained by
-// torus translation. It lets users plug measured access patterns into the
-// model.
-type Custom struct {
-	torus *topology.Torus
-	row   []float64 // row[d] = P(remote access from node 0 targets node d)
-	dAvg  float64
-	name  string
-}
-
-// NewCustom validates and wraps a probability row for origin node 0.
-// row[0] must be 0 and the row must sum to 1 (within 1e-9).
-func NewCustom(t *topology.Torus, name string, row []float64) (*Custom, error) {
-	if len(row) != t.Nodes() {
-		return nil, fmt.Errorf("access: custom row has %d entries, torus has %d nodes", len(row), t.Nodes())
-	}
-	if row[0] != 0 {
-		return nil, fmt.Errorf("access: custom row targets the origin with probability %v", row[0])
-	}
-	var sum, dsum float64
-	for n, p := range row {
-		if p < 0 || math.IsNaN(p) {
-			return nil, fmt.Errorf("access: custom row[%d] = %v, want >= 0", n, p)
-		}
-		sum += p
-		dsum += p * float64(t.Distance(0, topology.Node(n)))
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("access: custom row sums to %v, want 1", sum)
-	}
-	c := &Custom{torus: t, row: append([]float64(nil), row...), dAvg: dsum, name: name}
-	return c, nil
-}
-
-// Prob implements Pattern. The probability is translation-invariant:
-// Prob(src, dst) = row[dst - src] in torus coordinates.
-func (c *Custom) Prob(src, dst topology.Node) float64 {
-	if src == dst {
-		return 0
-	}
-	sx, sy := c.torus.Coord(src)
-	dx, dy := c.torus.Coord(dst)
-	return c.row[int(c.torus.NodeAt(dx-sx, dy-sy))]
-}
-
-// MeanDistance implements Pattern.
-func (c *Custom) MeanDistance() float64 { return c.dAvg }
-
-// Name implements Pattern.
-func (c *Custom) Name() string { return c.name }

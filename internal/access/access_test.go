@@ -18,6 +18,14 @@ func mustGeometric(t *topology.Torus, psw float64, mode GeometricMode) *Geometri
 	return g
 }
 
+func mustUniform(t *topology.Torus) *Uniform {
+	u, err := NewUniform(t)
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
 func sumProbs(p Pattern, t *topology.Torus, src topology.Node) float64 {
 	var sum float64
 	for n := 0; n < t.Nodes(); n++ {
@@ -100,7 +108,7 @@ func TestGeometricPswOne(t *testing.T) {
 	// p_sw = 1 per-node degenerates to uniform.
 	tor := topology.MustTorus(4)
 	g := mustGeometric(tor, 1, PerNode)
-	u := MustUniform(tor)
+	u := mustUniform(tor)
 	for n := 1; n < tor.Nodes(); n++ {
 		if math.Abs(g.Prob(0, topology.Node(n))-u.Prob(0, topology.Node(n))) > 1e-12 {
 			t.Fatalf("node %d: geometric(1) %v != uniform %v",
@@ -114,7 +122,7 @@ func TestGeometricPswOne(t *testing.T) {
 
 func TestUniformProperties(t *testing.T) {
 	tor := topology.MustTorus(4)
-	u := MustUniform(tor)
+	u := mustUniform(tor)
 	if s := sumProbs(u, tor, 0); math.Abs(s-1) > 1e-12 {
 		t.Errorf("probs sum to %v", s)
 	}
@@ -140,7 +148,7 @@ func TestPatternsAreTranslationInvariant(t *testing.T) {
 	pats := []Pattern{
 		mustGeometric(tor, 0.5, PerDistance),
 		mustGeometric(tor, 0.3, PerNode),
-		MustUniform(tor),
+		mustUniform(tor),
 	}
 	f := func(aRaw, bRaw, sRaw uint16) bool {
 		a := topology.Node(int(aRaw) % tor.Nodes())
@@ -162,51 +170,12 @@ func TestPatternsAreTranslationInvariant(t *testing.T) {
 	}
 }
 
-func TestCustomValidation(t *testing.T) {
-	tor := topology.MustTorus(2) // 4 nodes
-	if _, err := NewCustom(tor, "bad-len", []float64{1}); err == nil {
-		t.Error("want error for wrong length")
-	}
-	if _, err := NewCustom(tor, "self", []float64{0.5, 0.5, 0, 0}); err == nil {
-		t.Error("want error for nonzero self probability")
-	}
-	if _, err := NewCustom(tor, "neg", []float64{0, -1, 1, 1}); err == nil {
-		t.Error("want error for negative probability")
-	}
-	if _, err := NewCustom(tor, "sum", []float64{0, 0.5, 0.2, 0.2}); err == nil {
-		t.Error("want error for sum != 1")
-	}
-}
-
-func TestCustomMatchesUniform(t *testing.T) {
-	tor := topology.MustTorus(3)
-	row := make([]float64, tor.Nodes())
-	for i := 1; i < tor.Nodes(); i++ {
-		row[i] = 1 / float64(tor.Nodes()-1)
-	}
-	c, err := NewCustom(tor, "uniform-as-custom", row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := MustUniform(tor)
-	for a := 0; a < tor.Nodes(); a++ {
-		for b := 0; b < tor.Nodes(); b++ {
-			if math.Abs(c.Prob(topology.Node(a), topology.Node(b))-u.Prob(topology.Node(a), topology.Node(b))) > 1e-12 {
-				t.Fatalf("Prob(%d,%d) differs", a, b)
-			}
-		}
-	}
-	if math.Abs(c.MeanDistance()-u.MeanDistance()) > 1e-12 {
-		t.Errorf("d_avg %v != %v", c.MeanDistance(), u.MeanDistance())
-	}
-}
-
 func TestNames(t *testing.T) {
 	tor := topology.MustTorus(4)
 	if got := mustGeometric(tor, 0.5, PerDistance).Name(); got != "geometric(p_sw=0.5, per-distance)" {
 		t.Errorf("geometric name = %q", got)
 	}
-	if got := MustUniform(tor).Name(); got != "uniform" {
+	if got := mustUniform(tor).Name(); got != "uniform" {
 		t.Errorf("uniform name = %q", got)
 	}
 }

@@ -55,6 +55,24 @@ func TestRingDeterminism(t *testing.T) {
 				h, a.Owner(h), b.Owner(h), c.Owner(h))
 		}
 	}
+
+	// Ring positions are pinned: nodes running different builds must agree
+	// on ownership. The owners of 64 spread hashes on a 3-node ring, as
+	// member indices.
+	three := []string{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"}
+	r := cluster.NewRing(three, 0)
+	got := make([]byte, 64)
+	for i := range got {
+		owner := r.Owner(uint64(i) * 0x9e3779b97f4a7c15)
+		for j, m := range three {
+			if owner == m {
+				got[i] = byte('0' + j)
+			}
+		}
+	}
+	if want := "2120220211220112221011112002100002010022001011100021002210222121"; string(got) != want {
+		t.Errorf("ring owners moved:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestRingBalance pins the ownership spread of the default virtual-node

@@ -20,6 +20,8 @@ package cluster
 import (
 	"sort"
 	"strconv"
+
+	"lattol/internal/stats"
 )
 
 // DefaultVirtualNodes is the per-member virtual-node count. 64 points per
@@ -106,27 +108,18 @@ func (r *Ring) Has(member string) bool {
 	return i < len(r.members) && r.members[i] == member
 }
 
-// pointHash positions virtual node i of a member on the circle: FNV-1a over
-// "member#i" with a murmur3-style finalizer, the same avalanche the serving
-// layer applies to its key hashes, so low-entropy member names (sequential
-// ports) still spread over the full 64-bit circle.
+// pointHash positions virtual node i of a member on the circle: the
+// byte-wise stats.FNV64 of "member#i", the mixer the serving layer's key
+// hashes use, so low-entropy member names (sequential ports) still spread
+// over the full 64-bit circle.
 func pointHash(member string, i int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := stats.NewFNV64()
 	for j := 0; j < len(member); j++ {
-		h = (h ^ uint64(member[j])) * prime64
+		h.Add(uint64(member[j]))
 	}
-	h = (h ^ '#') * prime64
+	h.Add('#')
 	for _, b := range strconv.AppendInt(nil, int64(i), 10) {
-		h = (h ^ uint64(b)) * prime64
+		h.Add(uint64(b))
 	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	return h.Sum()
 }

@@ -18,7 +18,6 @@ import (
 	"lattol/internal/mva"
 	"lattol/internal/queueing"
 	"lattol/internal/serve"
-	"lattol/internal/topology"
 	"lattol/internal/validate"
 )
 
@@ -177,9 +176,7 @@ func solveRequestConfig(r serve.ModelRequest) mms.Config {
 	if r.GeometricMode == "per-node" {
 		cfg.GeometricMode = access.PerNode
 	}
-	if r.Pattern == "uniform" && r.PRemote > 0 && r.K > 1 {
-		cfg.Pattern = access.MustUniform(topology.MustTorus(r.K))
-	}
+	cfg.Uniform = r.Pattern == "uniform"
 	return cfg
 }
 

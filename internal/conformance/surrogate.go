@@ -69,7 +69,7 @@ func checkSurrogatePoint(g *surrogate.Grid, q surrogate.Query) error {
 func inGrid(spec surrogate.Spec, cfg mms.Config) (surrogate.Query, bool) {
 	q := surrogate.Query{K: cfg.K, NT: cfg.Threads, R: cfg.Runlength, PRemote: cfg.PRemote, Psw: cfg.Psw}
 	if cfg.MemoryTime != spec.MemoryTime || cfg.SwitchTime != spec.SwitchTime ||
-		cfg.Pattern != nil || cfg.GeometricMode != 0 || cfg.ContextSwitch != 0 ||
+		cfg.Uniform || cfg.GeometricMode != 0 || cfg.ContextSwitch != 0 ||
 		cfg.MemoryPorts > 1 || cfg.SwitchPorts > 1 {
 		return q, false
 	}

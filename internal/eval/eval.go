@@ -19,8 +19,8 @@ import (
 )
 
 // Config is one operating point: the model configuration plus the solution
-// procedure. It is a plain comparable value (provided cfg.Model.Pattern is
-// nil or a comparable implementation), so evaluators may memoize on it.
+// procedure. It is a plain comparable value, so evaluators may memoize on
+// it.
 type Config struct {
 	// Model is the workload/architecture configuration to evaluate.
 	Model mms.Config

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"strings"
 
-	"lattol/internal/access"
 	"lattol/internal/mms"
 	"lattol/internal/report"
 	"lattol/internal/sweep"
 	"lattol/internal/tolerance"
-	"lattol/internal/topology"
 )
 
 // ScalingCurves holds Figure 9: tol_network vs n_t for several machine sizes
@@ -58,13 +56,7 @@ func Figure9() (*ScalingCurves, error) {
 		cfg.Runlength = p.r
 		cfg.K = p.k
 		cfg.Threads = p.nt
-		if p.uniform {
-			u, err := access.NewUniform(topology.MustTorus(p.k))
-			if err != nil {
-				return 0, err
-			}
-			cfg.Pattern = u
-		}
+		cfg.Uniform = p.uniform
 		idx, err := tolerance.Compute(cfg, tolerance.Network, tolerance.ZeroDelay, mms.SolveOptions{})
 		return idx.Tol, err
 	})
@@ -140,11 +132,7 @@ func Figure10() (*ThroughputScaling, error) {
 			return sizePoint{}, err
 		}
 		uniCfg := base
-		u, err := access.NewUniform(topology.MustTorus(k))
-		if err != nil {
-			return sizePoint{}, err
-		}
-		uniCfg.Pattern = u
+		uniCfg.Uniform = true
 		uni, err := mms.Solve(uniCfg)
 		if err != nil {
 			return sizePoint{}, err

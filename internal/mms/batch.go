@@ -38,16 +38,15 @@ type BatchResult struct {
 // calls (same raw-residual stopping rule and tolerance).
 //
 // Each distinct system is elaborated and solved once per call. A Config
-// item with a nil Pattern whose Config and Solver equal an earlier item's
-// takes no solve of its own: it receives that item's result, with a lane
-// error renamed to its own index. One whose geometry (K, PRemote, Psw,
-// GeometricMode) matches an earlier elaborated item's is rebased onto that
-// item's model. Every other Config item with a nil Pattern is elaborated
-// into the workspace, from a table memoized per (K, Psw, GeometricMode),
-// with visits bit for bit those of Build. All of this is exact — a rebased
-// model solves bit for bit like a built one — so the results equal those of
-// the same batch with its duplicates removed and every model built
-// separately. Items with a Pattern are elaborated with Build.
+// item whose Config and Solver equal an earlier item's takes no solve of its
+// own: it receives that item's result, with a lane error renamed to its own
+// index. One whose geometry (K, PRemote, Uniform, Psw, GeometricMode)
+// matches an earlier elaborated item's is rebased onto that item's model.
+// Every other Config item is elaborated into the workspace, from a table
+// memoized per access pattern, with visits bit for bit those of Build. All
+// of this is exact — a rebased model solves bit for bit like a built one —
+// so the results equal those of the same batch with its duplicates removed
+// and every model built separately.
 //
 // opts supplies Tolerance, MaxIterations, WarmStart and the Workspace;
 // opts.Solver is ignored (each item carries its own). WarmStart seeds each
@@ -105,9 +104,7 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 		models[i] = nil
 		it := &items[i]
 		m := it.Model
-		// Only items with a nil Pattern share, so equality never compares
-		// two Pattern implementations (which may be incomparable).
-		if m == nil && it.Config.Pattern == nil {
+		if m == nil {
 			j, slot := ws.batchSystems.lookup(systemHash(it), func(j int) bool { return items[j] == *it })
 			if j >= 0 {
 				dupOf[i] = j
@@ -129,14 +126,6 @@ func SolveBatchInto(dst []BatchResult, items []BatchItem, opts SolveOptions) {
 				if j < 0 {
 					ws.batchGeometries.record(slot, i)
 				}
-			}
-		}
-		if m == nil {
-			var err error
-			if m, err = Build(it.Config); err != nil {
-				dst[i].Err = err
-				done[i] = true
-				continue
 			}
 		}
 		models[i] = m

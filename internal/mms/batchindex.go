@@ -68,7 +68,11 @@ func floatWord(v float64) uint64 {
 }
 
 func (g geometry) appendWords(w []uint64) []uint64 {
-	return append(w, uint64(g.k), floatWord(g.pRemote), floatWord(g.psw), uint64(g.mode))
+	pattern := uint64(g.mode) << 1
+	if g.uniform {
+		pattern |= 1
+	}
+	return append(w, uint64(g.k), floatWord(g.pRemote), floatWord(g.psw), pattern)
 }
 
 // hash agrees with geometry equality.
@@ -77,8 +81,8 @@ func (g geometry) hash() uint64 {
 	return hashWords(g.appendWords(w[:0]))
 }
 
-// systemHash agrees with BatchItem equality for items with a nil Model and
-// a nil Pattern, the only ones SolveBatch compares.
+// systemHash agrees with BatchItem equality for items with a nil Model, the
+// only ones SolveBatch compares.
 func systemHash(it *BatchItem) uint64 {
 	c := &it.Config
 	var w [12]uint64

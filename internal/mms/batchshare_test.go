@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lattol/internal/access"
-	"lattol/internal/topology"
 )
 
 // sweepShapedItems is the item list of an n-point p_remote tolerance sweep
@@ -63,7 +62,7 @@ func randomBatch(rng *rand.Rand, n int) []BatchItem {
 		case r < 5:
 			it.Config.Runlength = -1
 		case r < 7 && cfg.K > 1:
-			it.Config.Pattern = access.MustUniform(topology.MustTorus(cfg.K))
+			it.Config.Uniform = true
 		}
 		items = append(items, it)
 	}
@@ -71,13 +70,13 @@ func randomBatch(rng *rand.Rand, n int) []BatchItem {
 }
 
 // firstOccurrence maps each item to the first item of the list that is the
-// same system (both with a nil Pattern), or to itself.
+// same system, or to itself.
 func firstOccurrence(items []BatchItem) []int {
 	first := make([]int, len(items))
 	for i := range items {
 		first[i] = i
 		for j := 0; j < i; j++ {
-			if items[i].Config.Pattern == nil && items[i] == items[j] {
+			if items[i] == items[j] {
 				first[i] = j
 				break
 			}

@@ -11,6 +11,7 @@
 package mms
 
 import (
+	"flag"
 	"math"
 
 	"lattol/internal/access"
@@ -37,11 +38,12 @@ type Config struct {
 	SwitchTime float64
 	// PRemote is the probability that a memory access targets a remote node.
 	PRemote float64
-	// Pattern chooses the remote access pattern. If nil, a geometric pattern
-	// with parameters Psw and GeometricMode is used (the paper's default).
-	// Ignored when PRemote == 0 or K == 1.
-	Pattern access.Pattern
-	// Psw is the locality parameter of the default geometric pattern.
+	// Uniform selects the uniform remote access pattern: every remote
+	// module is equally likely. False selects the paper's default, the
+	// geometric pattern with parameters Psw and GeometricMode. Ignored when
+	// PRemote == 0 or K == 1.
+	Uniform bool
+	// Psw is the locality parameter of the geometric pattern.
 	Psw float64
 	// GeometricMode selects the geometric normalization (default
 	// access.PerDistance, the paper's formulation).
@@ -70,6 +72,20 @@ func DefaultConfig() Config {
 		PRemote:    0.2,
 		Psw:        0.5,
 	}
+}
+
+// BindFlags binds the model flags the command-line tools share — k, nt, r,
+// l, s, p and psw — to c's fields on fs, with DefaultConfig's values as
+// defaults. A tool binds its own extras (context switch, pattern, ports).
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	d := DefaultConfig()
+	fs.IntVar(&c.K, "k", d.K, "PEs per torus dimension (P = k²)")
+	fs.IntVar(&c.Threads, "nt", d.Threads, "threads per processor n_t")
+	fs.Float64Var(&c.Runlength, "r", d.Runlength, "thread runlength R")
+	fs.Float64Var(&c.MemoryTime, "l", d.MemoryTime, "memory access time L")
+	fs.Float64Var(&c.SwitchTime, "s", d.SwitchTime, "switch delay S")
+	fs.Float64Var(&c.PRemote, "p", d.PRemote, "remote access probability p_remote")
+	fs.Float64Var(&c.Psw, "psw", d.Psw, "geometric locality parameter p_sw")
 }
 
 // Validate reports the first invalid parameter as a field-named error
@@ -104,7 +120,7 @@ func (c Config) Validate() error {
 	if c.K == 1 && c.PRemote > 0 {
 		return validate.Fieldf("mms.Config", "PRemote", "= %v on a single-node system (K=1), want 0", c.PRemote)
 	}
-	if c.Pattern == nil && c.PRemote > 0 {
+	if !c.Uniform && c.PRemote > 0 {
 		if c.Psw <= 0 || c.Psw > 1 || math.IsNaN(c.Psw) {
 			return validate.Fieldf("mms.Config", "Psw", "= %v, want in (0,1]", c.Psw)
 		}
@@ -135,18 +151,19 @@ func (c Config) switchPorts() int {
 }
 
 // geometry is the part of a Config that a model's topology and visit ratios
-// depend on, given the same Pattern: Model.Rebase shares an elaborated model
-// between configurations with equal geometry, and SolveBatch indexes its
-// items by it to elaborate each geometry once.
+// depend on: Model.Rebase shares an elaborated model between configurations
+// with equal geometry, and SolveBatch indexes its items by it to elaborate
+// each geometry once.
 type geometry struct {
 	k       int
 	pRemote float64
+	uniform bool
 	psw     float64
 	mode    access.GeometricMode
 }
 
 func (c Config) geometry() geometry {
-	return geometry{k: c.K, pRemote: c.PRemote, psw: c.Psw, mode: c.GeometricMode}
+	return geometry{k: c.K, pRemote: c.PRemote, uniform: c.Uniform, psw: c.Psw, mode: c.GeometricMode}
 }
 
 // pattern resolves the configured access pattern (nil when remote accesses
@@ -155,8 +172,8 @@ func (c Config) pattern(t *topology.Torus) (access.Pattern, error) {
 	if c.PRemote == 0 || t.Nodes() == 1 {
 		return nil, nil
 	}
-	if c.Pattern != nil {
-		return c.Pattern, nil
+	if c.Uniform {
+		return access.NewUniform(t)
 	}
 	return access.NewGeometric(t, c.Psw, c.GeometricMode)
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // elabTable is the part of a torus model's elaboration that depends only on
-// (K, Psw, GeometricMode), not on PRemote: the torus, the resolved pattern,
-// the remote-target row q[j] = Prob(0, j), and the route hops of every
-// destination. It is immutable once built, so any number of models (and a
-// workspace's later batches) share one.
+// the torus and the access pattern (K, Uniform, Psw, GeometricMode), not on
+// PRemote: the torus, the resolved pattern, the remote-target row
+// q[j] = Prob(0, j), and the route hops of every destination. It is
+// immutable once built, so any number of models (and a workspace's later
+// batches) share one.
 type elabTable struct {
 	torus   *topology.Torus
 	pattern access.Pattern // nil: no remote accesses (PRemote == 0 or K == 1)
@@ -121,21 +122,27 @@ func (m *Model) setRows(nnz [3]int, buf []float64) {
 // bound by varying K or Psw, and a full memo is cleared, not evicted.
 const maxTables = 64
 
-// tableKey identifies a memoized table: (K, Psw, GeometricMode), or (K, 0,
-// 0) for the torus-only table of models without remote accesses (a
-// geometric pattern has Psw > 0).
+// tableKey identifies a memoized table: (K, Psw, GeometricMode) for a
+// geometric pattern, (K, uniform) for the uniform one, or K alone for the
+// torus-only table of models without remote accesses (a geometric pattern
+// has Psw > 0).
 type tableKey struct {
-	k    int
-	psw  float64
-	mode access.GeometricMode
+	k       int
+	uniform bool
+	psw     float64
+	mode    access.GeometricMode
 }
 
-// table returns the workspace's table for cfg, a valid Config with a nil
-// Pattern, building and memoizing it on first use. The error is the one
-// Build reports for the same Config.
+// table returns the workspace's table for cfg, a valid Config, building and
+// memoizing it on first use. The error is the one Build reports for the
+// same Config.
 func (ws *Workspace) table(cfg *Config) (*elabTable, error) {
 	key := tableKey{k: cfg.K}
-	if cfg.PRemote != 0 {
+	switch {
+	case cfg.PRemote == 0:
+	case cfg.Uniform:
+		key.uniform = true
+	default:
 		key.psw, key.mode = cfg.Psw, cfg.GeometricMode
 	}
 	if tab, ok := ws.tables[key]; ok {
@@ -164,10 +171,10 @@ func (ws *Workspace) table(cfg *Config) (*elabTable, error) {
 	return &tab, nil
 }
 
-// elaborate builds the model of cfg, a Config with a nil Pattern, into the
-// workspace slabs: the model struct, its visit vectors and its merged rows.
-// The model lives until the next SolveBatchInto on the workspace resets the
-// slabs, so it must not escape the call that built it.
+// elaborate builds the model of cfg into the workspace slabs: the model
+// struct, its visit vectors and its merged rows. The model lives until the
+// next SolveBatchInto on the workspace resets the slabs, so it must not
+// escape the call that built it.
 func (ws *Workspace) elaborate(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

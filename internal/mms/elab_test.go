@@ -31,7 +31,13 @@ func checkElaboration(t *testing.T, label string, m *Model, cfg Config) {
 	var q func(topology.Node) float64
 	dAvg := 0.0
 	if cfg.PRemote != 0 && cfg.K > 1 {
-		pat, err := access.NewGeometric(torus, cfg.Psw, cfg.GeometricMode)
+		var pat access.Pattern
+		var err error
+		if cfg.Uniform {
+			pat, err = access.NewUniform(torus)
+		} else {
+			pat, err = access.NewGeometric(torus, cfg.Psw, cfg.GeometricMode)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +63,10 @@ func checkElaboration(t *testing.T, label string, m *Model, cfg Config) {
 
 // TestElaborationBitIdentical pins the one torus fill to the visitsFrom
 // reference, for Build and for the workspace elaboration SolveBatch runs
-// (memoized tables, reused slabs): K 1–16, both geometric modes, Psw up to
-// 1, and p_remote 0, 1 and small enough that p·q[j] underflows to 0.
+// (memoized tables, reused slabs): K 1–16, both geometric modes and the
+// uniform pattern, Psw up to 1, and p_remote 0, 1 and small enough that
+// p·q[j] underflows to 0. Uniform items then solve through SolveBatchInto
+// bit for bit like Build + Solve, K 2–16 and p_remote 0 and 1.
 func TestElaborationBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ws := new(Workspace)
@@ -68,6 +76,7 @@ func TestElaborationBitIdentical(t *testing.T) {
 		cfg.GeometricMode = access.GeometricMode(rng.Intn(2))
 		cfg.Psw = []float64{1, 0.5, 0.05 + 0.95*rng.Float64()}[rng.Intn(3)]
 		cfg.PRemote = []float64{0, 1, 5e-324, 1e-310, rng.Float64()}[rng.Intn(5)]
+		cfg.Uniform = rng.Intn(4) == 0
 		if cfg.K == 1 {
 			cfg.PRemote = 0
 		}
@@ -83,6 +92,25 @@ func TestElaborationBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkElaboration(t, "workspace", m, cfg)
+	}
+	dst := make([]BatchResult, 1)
+	for k := 2; k <= 16; k++ {
+		for _, p := range []float64{0, 1} {
+			cfg := DefaultConfig()
+			cfg.K, cfg.PRemote, cfg.Uniform = k, p, true
+			built, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := built.Solve(SolveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			SolveBatchInto(dst, []BatchItem{{Config: cfg}}, SolveOptions{Workspace: ws})
+			if dst[0].Err != nil || !sameBits(dst[0].Metrics, want) {
+				t.Errorf("uniform K=%d p=%v: batch %+v (err %v), Build+Solve %+v", k, p, dst[0].Metrics, dst[0].Err, want)
+			}
+		}
 	}
 }
 
@@ -177,12 +205,17 @@ func newGeometryItems(n int) []BatchItem {
 }
 
 // TestSolveBatchElaborationAllocFree: once a workspace has served one batch,
-// a batch of 32 new geometries with their ideals elaborates and solves
-// without allocating. The workspace keeps tables, not models, between
-// calls, so every call elaborates all 32 geometries again (from the memoized
-// table, into the reset slabs).
+// a batch of 32 new geometries with their ideals, under the geometric and
+// the uniform pattern, elaborates and solves without allocating. The
+// workspace keeps tables, not models, between calls, so every call
+// elaborates all 64 geometries again (from the memoized tables, into the
+// reset slabs).
 func TestSolveBatchElaborationAllocFree(t *testing.T) {
 	items := newGeometryItems(32)
+	for _, it := range items[:len(items):len(items)] {
+		it.Config.Uniform = true
+		items = append(items, it)
+	}
 	dst := make([]BatchResult, len(items))
 	ws := new(Workspace)
 	opts := SolveOptions{Workspace: ws, WarmStart: true}

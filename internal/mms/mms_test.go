@@ -3,9 +3,6 @@ package mms
 import (
 	"math"
 	"testing"
-
-	"lattol/internal/access"
-	"lattol/internal/topology"
 )
 
 func TestDefaultConfigMatchesPaperTable1(t *testing.T) {
@@ -288,7 +285,7 @@ func TestUniformVsGeometricLargeSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Pattern = access.MustUniform(topology.MustTorus(10))
+	cfg.Uniform = true
 	uni, err := Solve(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -305,37 +302,6 @@ func TestThroughputHelper(t *testing.T) {
 	met := Metrics{Up: 0.5}
 	if got := met.Throughput(16); got != 8 {
 		t.Errorf("Throughput(16) = %v, want 8", got)
-	}
-}
-
-func TestCustomPatternRoundTrip(t *testing.T) {
-	// A custom pattern equal to the default geometric must give identical
-	// metrics.
-	tor := topology.MustTorus(4)
-	g, err := access.NewGeometric(tor, 0.5, access.PerDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, tor.Nodes())
-	for j := 1; j < tor.Nodes(); j++ {
-		row[j] = g.Prob(0, topology.Node(j))
-	}
-	custom, err := access.NewCustom(tor, "geo-copy", row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	base, err := Solve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pattern = custom
-	got, err := Solve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(base.Up-got.Up) > 1e-9 || math.Abs(base.SObs-got.SObs) > 1e-6 {
-		t.Errorf("custom copy differs: %+v vs %+v", got, base)
 	}
 }
 

@@ -141,15 +141,14 @@ func (m *Model) Config() Config { return m.cfg }
 // Rebase returns a model for cfg that reuses this model's elaborated
 // topology and visit ratios. It succeeds only when cfg is valid and differs
 // from the model's configuration in fields the visits do not depend on
-// (thread count, service times, ports) — K, PRemote, Psw, GeometricMode and
-// Pattern must be equal. A rebased model solves bit for bit like a built
-// one. Two callers rely on that: an inverse solve's probe sequence turning
-// one such knob re-elaborates nothing (eval.Solver), and SolveBatch
+// (thread count, service times, ports) — K, PRemote, Uniform, Psw and
+// GeometricMode must be equal. A rebased model solves bit for bit like a
+// built one. Two callers rely on that: an inverse solve's probe sequence
+// turning one such knob re-elaborates nothing (eval.Solver), and SolveBatch
 // elaborates each geometry of a batch once. The shared slices are read-only
-// in both models. cfg.Pattern must be nil or a comparable implementation
-// (the same contract as configuration equality elsewhere).
+// in both models.
 func (m *Model) Rebase(cfg Config) (*Model, bool) {
-	if cfg.geometry() != m.cfg.geometry() || cfg.Pattern != m.cfg.Pattern {
+	if cfg.geometry() != m.cfg.geometry() {
 		return nil, false
 	}
 	if err := cfg.Validate(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"lattol/internal/mva"
 	"lattol/internal/queueing"
 	"lattol/internal/topology"
+	"lattol/internal/validate"
 )
 
 // TopoModel is an MMS on an arbitrary topology.Network (e.g. a mesh without
@@ -40,11 +41,14 @@ type TopoMetrics struct {
 	Iterations int
 }
 
-// BuildOnTopology elaborates cfg on the given network. cfg.K is ignored (the
-// network defines the size); cfg.Pattern, if nil, defaults to the
-// per-origin geometric pattern with cfg.Psw. PRemote > 0 requires >= 2
-// nodes.
+// BuildOnTopology elaborates cfg on the given network under the per-origin
+// geometric pattern with cfg.Psw. cfg.K is ignored (the network defines the
+// size), and the uniform pattern is not offered on general networks.
+// PRemote > 0 requires >= 2 nodes.
 func BuildOnTopology(cfg Config, net topology.Network) (*TopoModel, error) {
+	if cfg.Uniform {
+		return nil, validate.Fieldf("mms.Config", "Uniform", "= true, want false: BuildOnTopology models the geometric pattern only")
+	}
 	probe := cfg
 	probe.K = 1
 	probe.PRemote = 0 // K/pattern are validated separately below
@@ -59,15 +63,11 @@ func BuildOnTopology(cfg Config, net topology.Network) (*TopoModel, error) {
 	}
 	m := &TopoModel{cfg: cfg, net: net}
 	if cfg.PRemote > 0 {
-		if cfg.Pattern != nil {
-			m.pattern = cfg.Pattern
-		} else {
-			pat, err := access.NewGeometricOn(net, cfg.Psw, cfg.GeometricMode)
-			if err != nil {
-				return nil, err
-			}
-			m.pattern = pat
+		pat, err := access.NewGeometricOn(net, cfg.Psw, cfg.GeometricMode)
+		if err != nil {
+			return nil, err
 		}
+		m.pattern = pat
 	}
 	for c := 0; c < net.Nodes(); c++ {
 		home := topology.Node(c)

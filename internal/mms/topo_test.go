@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lattol/internal/topology"
+	"lattol/internal/validate"
 )
 
 func TestTopoModelOnTorusMatchesSymmetric(t *testing.T) {
@@ -135,6 +136,11 @@ func TestTopoModelValidation(t *testing.T) {
 	cfg.PRemote = math.NaN()
 	if _, err := BuildOnTopology(cfg, topology.MustMesh(3)); err == nil {
 		t.Error("want error for NaN PRemote")
+	}
+	cfg = DefaultConfig()
+	cfg.Uniform = true
+	if _, err := BuildOnTopology(cfg, topology.MustMesh(3)); validate.Field(err) != "Uniform" {
+		t.Errorf("uniform pattern on a general network: err %v, want a Uniform field error", err)
 	}
 }
 

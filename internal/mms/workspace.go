@@ -42,8 +42,8 @@ type Workspace struct {
 	batchDupOf      []int
 	batchSystems    itemIndex
 	batchGeometries itemIndex
-	// Elaboration state of SolveBatch: the memoized tables per (K, Psw,
-	// GeometricMode) and the slabs holding the models, visit vectors and
+	// Elaboration state of SolveBatch: the memoized tables per torus and
+	// access pattern and the slabs holding the models, visit vectors and
 	// merged rows of the items it builds or rebases itself (see elaborate).
 	tables map[tableKey]*elabTable
 	models slab[Model]

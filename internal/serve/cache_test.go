@@ -5,11 +5,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lattol/internal/mms"
 )
 
 // testKey builds a distinct valid-looking key for cache unit tests.
 func testKey(i int) Key {
-	return Key{op: opSolve, k: 4, threads: i + 1, memPorts: 1, swPorts: 1, runlength: 10}
+	return Key{op: opSolve, cfg: mms.Config{K: 4, Threads: i + 1, MemoryPorts: 1, SwitchPorts: 1, Runlength: 10}}
 }
 
 func TestCacheHitMissEviction(t *testing.T) {

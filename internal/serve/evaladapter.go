@@ -14,13 +14,11 @@ import (
 // against the same model share probe results with each other and with plain
 // forward requests — repeating a plan costs zero solves.
 //
-// The pattern kind is fixed per request (it is not part of mms.Config);
-// everything else of the canonical key derives from the probe configuration.
-// Probes are always exact: the surrogate tier is never consulted, so every
-// answer a plan is built from carries bound 0.
+// The canonical key derives from the probe configuration. Probes are always
+// exact: the surrogate tier is never consulted, so every answer a plan is
+// built from carries bound 0.
 type planEvaluator struct {
-	e   *Evaluator
-	pat patternKind
+	e *Evaluator
 
 	// Batch scratch, reused across lockstep frontier rounds.
 	keys []Key
@@ -43,13 +41,13 @@ func solveCost(st cacheState, solves int) int {
 func (pe *planEvaluator) keysFor(keys []Key, cfg eval.Config, opts eval.Options) []Key {
 	m := cfg.Model
 	if !opts.TolNetwork && !opts.TolMemory {
-		return append(keys, canonicalKey(m, pe.pat, m.GeometricMode, cfg.Solver, opSolve, 0, 0))
+		return append(keys, canonicalKey(m, cfg.Solver, opSolve, 0, 0))
 	}
 	if opts.TolNetwork {
-		keys = append(keys, canonicalKey(m, pe.pat, m.GeometricMode, cfg.Solver, opTolerance, tolerance.Network, tolerance.ZeroRemote))
+		keys = append(keys, canonicalKey(m, cfg.Solver, opTolerance, tolerance.Network, tolerance.ZeroRemote))
 	}
 	if opts.TolMemory {
-		keys = append(keys, canonicalKey(m, pe.pat, m.GeometricMode, cfg.Solver, opTolerance, tolerance.Memory, tolerance.ZeroDelay))
+		keys = append(keys, canonicalKey(m, cfg.Solver, opTolerance, tolerance.Memory, tolerance.ZeroDelay))
 	}
 	return keys
 }

@@ -134,13 +134,14 @@ type surrogateTier struct {
 // (Lookup reports Ineligible).
 func (t *surrogateTier) query(k *Key) (surrogate.Query, bool) {
 	spec := t.grid.Spec()
+	c := &k.cfg
 	if k.op != opSolve || k.solver != mms.SymmetricAMVA ||
-		k.pattern != patternGeometric || k.geoMode != access.PerDistance ||
-		k.contextSwitch != 0 || k.memPorts != 1 || k.swPorts != 1 ||
-		k.memoryTime != spec.MemoryTime || k.switchTime != spec.SwitchTime {
+		c.Uniform || c.GeometricMode != access.PerDistance ||
+		c.ContextSwitch != 0 || c.MemoryPorts != 1 || c.SwitchPorts != 1 ||
+		c.MemoryTime != spec.MemoryTime || c.SwitchTime != spec.SwitchTime {
 		return surrogate.Query{}, false
 	}
-	return surrogate.Query{K: k.k, NT: k.threads, R: k.runlength, PRemote: k.pRemote, Psw: k.psw}, true
+	return surrogate.Query{K: c.K, NT: c.Threads, R: c.Runlength, PRemote: c.PRemote, Psw: c.Psw}, true
 }
 
 // NewEvaluator starts the worker pool and returns a ready evaluator. Call
@@ -305,8 +306,8 @@ func (e *Evaluator) computeBatch(w *workerScratch, ents []*entry) {
 	items := w.items[:0]
 	idealErr := w.idealErr[:0]
 	for _, ent := range ents {
-		k := ent.key
-		cfg := k.config()
+		k := &ent.key
+		cfg := k.cfg
 		items = append(items, mms.BatchItem{Config: cfg, Solver: k.solver})
 		var ierr error
 		if k.op == opTolerance {
@@ -675,7 +676,7 @@ func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, er
 	if math.IsNaN(r.To) || math.IsInf(r.To, 0) {
 		return nil, validate.Fieldf("serve.SweepRequest", "to", "= %v, want finite", r.To)
 	}
-	cfg, pat, geo, solver, err := components(&r.ModelRequest)
+	cfg, solver, err := components(&r.ModelRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -688,11 +689,11 @@ func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, er
 	for i, v := range values {
 		pcfg := cfg
 		knob.Apply(&pcfg, v)
-		if err := validateConfig(pcfg, pat); err != nil {
+		if err := validateConfig(pcfg); err != nil {
 			return nil, err
 		}
-		keys[2*i] = canonicalKey(pcfg, pat, geo, solver, opTolerance, tolerance.Network, tolerance.ZeroRemote)
-		keys[2*i+1] = canonicalKey(pcfg, pat, geo, solver, opTolerance, tolerance.Memory, tolerance.ZeroDelay)
+		keys[2*i] = canonicalKey(pcfg, solver, opTolerance, tolerance.Network, tolerance.ZeroRemote)
+		keys[2*i+1] = canonicalKey(pcfg, solver, opTolerance, tolerance.Memory, tolerance.ZeroDelay)
 	}
 	out := make([]keyOutcome, len(keys))
 	e.evalKeys(ctx, keys, nil, out)

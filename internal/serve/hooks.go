@@ -25,10 +25,10 @@ func ToleranceKey(r ToleranceRequest) (Key, error) {
 	return modelKey(&r.ModelRequest, "tolerance", r.Subsystem, r.Mode)
 }
 
-// ModelConfig rebuilds the solver configuration the key denotes (defaults
-// applied, irrelevant fields zeroed) — the configuration a cache miss would
-// actually solve.
-func (k Key) ModelConfig() mms.Config { return k.config() }
+// ModelConfig returns the solver configuration the key denotes (defaults
+// applied, irrelevant fields zeroed) — the configuration a cache miss
+// actually solves.
+func (k Key) ModelConfig() mms.Config { return k.cfg }
 
 // Hash returns the key's canonical 64-bit hash — the value the cluster ring
 // routes on and the cache shards by. Conformance and cluster tests use it to
@@ -44,7 +44,5 @@ func (k Key) SolverChoice() mms.Solver { return k.solver }
 // cache lines; the conformance fuzz target asserts Recanonicalized() == k
 // for every reachable key.
 func (k Key) Recanonicalized() Key {
-	cfg := k.config()
-	cfg.Pattern = nil // canonicalKey takes the pattern as a separate operand
-	return canonicalKey(cfg, k.pattern, k.geoMode, k.solver, k.op, k.sub, k.mode)
+	return canonicalKey(k.cfg, k.solver, k.op, k.sub, k.mode)
 }

@@ -10,45 +10,39 @@ import (
 	"lattol/internal/validate"
 )
 
-// planSpec canonicalizes the request into an inverse.Spec plus the serving
-// pattern kind. Validation errors are field-named against the wire fields.
-func planSpec(r *PlanRequest) (inverse.Spec, patternKind, error) {
-	cfg, pat, _, solver, err := components(&r.ModelRequest)
+// planSpec canonicalizes the request into an inverse.Spec. Validation
+// errors are field-named against the wire fields.
+func planSpec(r *PlanRequest) (inverse.Spec, error) {
+	cfg, solver, err := components(&r.ModelRequest)
 	if err != nil {
-		return inverse.Spec{}, 0, err
+		return inverse.Spec{}, err
 	}
 	if r.MaxError != 0 {
 		// Plan probes must be exact: a bracketed root-find over interpolated
 		// answers could bracket the interpolation error instead of the root.
-		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "max_error",
+		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "max_error",
 			"= %v; plans probe exactly, max_error must be omitted", r.MaxError)
 	}
-	if err := validateConfig(cfg, pat); err != nil {
-		return inverse.Spec{}, 0, err
-	}
-	if pat == patternUniform {
-		// The uniform pattern has no locality parameter: a placeholder
-		// satisfies configuration validation and canonicalization zeroes it
-		// out of every probe key.
-		cfg.Psw = 1
+	if err := validateConfig(cfg); err != nil {
+		return inverse.Spec{}, err
 	}
 	knob, err := mms.ParseParam(r.Knob)
 	if err != nil {
-		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "knob", "= %q, want one of %s",
+		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "knob", "= %q, want one of %s",
 			r.Knob, strings.Join(mms.ParamNames(), ", "))
 	}
-	if pat == patternUniform && knob.String() == "psw" {
-		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "knob",
+	if cfg.Uniform && knob.String() == "psw" {
+		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "knob",
 			"= psw under the uniform pattern; psw has no effect there")
 	}
 	metric, err := inverse.ParseMetric(r.Metric)
 	if err != nil {
-		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "metric", "= %q, want one of %s",
+		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "metric", "= %q, want one of %s",
 			r.Metric, strings.Join(inverse.MetricNames(), ", "))
 	}
 	rel, err := inverse.ParseRelation(r.Relation)
 	if err != nil {
-		return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "relation", "= %q, want >= or <=", r.Relation)
+		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "relation", "= %q, want >= or <=", r.Relation)
 	}
 	sp := inverse.Spec{
 		Base:      cfg,
@@ -68,48 +62,48 @@ func planSpec(r *PlanRequest) (inverse.Spec, patternKind, error) {
 	if c := knobCap(knob); c > 0 {
 		if lo, hi := sp.Bracket(); hi > c {
 			if r.KnobMin != 0 || r.KnobMax != 0 {
-				return inverse.Spec{}, 0, validate.Fieldf("serve.PlanRequest", "knob_max",
+				return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "knob_max",
 					"= %v, want <= %v for knob %s (the model-size cap)", r.KnobMax, c, knob)
 			}
 			sp.Lo, sp.Hi = lo, c
 		}
 	}
-	return sp, pat, nil
+	return sp, nil
 }
 
 // frontierSpec extends planSpec with the swept second parameter.
-func frontierSpec(r *PlanRequest) (inverse.FrontierSpec, patternKind, error) {
-	sp, pat, err := planSpec(r)
+func frontierSpec(r *PlanRequest) (inverse.FrontierSpec, error) {
+	sp, err := planSpec(r)
 	if err != nil {
-		return inverse.FrontierSpec{}, 0, err
+		return inverse.FrontierSpec{}, err
 	}
 	f := r.Frontier
 	fs := inverse.FrontierSpec{Spec: sp, From: f.From, To: f.To, Steps: f.Steps}
 	if f.Param == "" {
-		return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.param",
+		return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.param",
 			"required, want one of %s", strings.Join(mms.ParamNames(), ", "))
 	}
 	sweep, err := mms.ParseParam(f.Param)
 	if err != nil {
-		return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.param",
+		return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.param",
 			"= %q, want one of %s", f.Param, strings.Join(mms.ParamNames(), ", "))
 	}
 	fs.Sweep = sweep
 	if c := knobCap(sweep); c > 0 {
 		if f.From > c {
-			return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.from",
+			return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.from",
 				"= %v, want <= %v for param %s (the model-size cap)", f.From, c, sweep)
 		}
 		if f.To > c {
-			return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.to",
+			return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.to",
 				"= %v, want <= %v for param %s (the model-size cap)", f.To, c, sweep)
 		}
 	}
-	if pat == patternUniform && sweep.String() == "psw" {
-		return inverse.FrontierSpec{}, 0, validate.Fieldf("serve.PlanRequest", "frontier.param",
+	if sp.Base.Uniform && sweep.String() == "psw" {
+		return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.param",
 			"= psw under the uniform pattern; psw has no effect there")
 	}
-	return fs, pat, nil
+	return fs, nil
 }
 
 // maxPlanFrontierSteps bounds one frontier request; the same cap the sweep
@@ -119,11 +113,11 @@ func (e *Evaluator) maxPlanFrontierSteps() int { return e.cfg.MaxSweepPoints }
 // Plan answers one inverse question through the cache and worker pool. The
 // per-plan probe count is recorded in the metrics' probe histogram.
 func (e *Evaluator) Plan(ctx context.Context, r PlanRequest) (inverse.Result, error) {
-	sp, pat, err := planSpec(&r)
+	sp, err := planSpec(&r)
 	if err != nil {
 		return inverse.Result{}, err
 	}
-	res, err := inverse.Solve(ctx, &planEvaluator{e: e, pat: pat}, sp)
+	res, err := inverse.Solve(ctx, &planEvaluator{e: e}, sp)
 	if err != nil {
 		if _, ok := err.(*inverse.InfeasibleError); ok {
 			e.met.plansInfeasible.Add(1)
@@ -140,7 +134,7 @@ func (e *Evaluator) Plan(ctx context.Context, r PlanRequest) (inverse.Result, er
 // pool. Points fail independently (e.g. an infeasible sweep value carries
 // *inverse.InfeasibleError); the returned error is an envelope error.
 func (e *Evaluator) PlanFrontier(ctx context.Context, r PlanRequest) ([]inverse.FrontierPoint, error) {
-	fs, pat, err := frontierSpec(&r)
+	fs, err := frontierSpec(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +142,7 @@ func (e *Evaluator) PlanFrontier(ctx context.Context, r PlanRequest) ([]inverse.
 		return nil, validate.Fieldf("serve.PlanRequest", "frontier.steps",
 			"= %d, want in [1,%d]", fs.Steps, e.maxPlanFrontierSteps())
 	}
-	pts, err := inverse.Frontier(ctx, &planEvaluator{e: e, pat: pat}, fs)
+	pts, err := inverse.Frontier(ctx, &planEvaluator{e: e}, fs)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"lattol/internal/bottleneck"
+	"lattol/internal/topology"
 )
 
 // planBody is the default-model plan: threads needed for network tolerance
@@ -128,6 +131,25 @@ func TestServerPlanValidation400s(t *testing.T) {
 	}
 }
 
+// TestPlanSpecKeepsUniformPattern: a uniform plan's base configuration
+// carries its pattern, so the planner's closed-form seeds (the bottleneck
+// analysis) use the uniform pattern's d_avg, not a geometric stand-in.
+func TestPlanSpecKeepsUniformPattern(t *testing.T) {
+	r := PlanRequest{ModelRequest: baseRequest(), Knob: "premote", Metric: "u_p", Target: 0.7}
+	r.K, r.Pattern = 6, "uniform"
+	sp, err := planSpec(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := bottleneck.Analyze(sp.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := topology.MustTorus(6).MeanDistanceUniform(); !sp.Base.Uniform || an.DAvg != want {
+		t.Errorf("plan base %+v: d_avg %v, want the uniform pattern's %v", sp.Base, an.DAvg, want)
+	}
+}
+
 // TestServerPlanKnobCap runs a k plan over the knob's default domain [1,32],
 // which reaches past the wire's model-size cap, and expects the search to
 // stop at the cap: no probe solves a larger model. With no remote accesses
@@ -139,7 +161,7 @@ func TestServerPlanKnobCap(t *testing.T) {
 	srv.Evaluator().solveHook = func(k Key) {
 		for {
 			m := maxK.Load()
-			if int64(k.k) <= m || maxK.CompareAndSwap(m, int64(k.k)) {
+			if int64(k.cfg.K) <= m || maxK.CompareAndSwap(m, int64(k.cfg.K)) {
 				return
 			}
 		}

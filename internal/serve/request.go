@@ -26,8 +26,8 @@ import (
 	"lattol/internal/access"
 	lattolclient "lattol/internal/client"
 	"lattol/internal/mms"
+	"lattol/internal/stats"
 	"lattol/internal/tolerance"
-	"lattol/internal/topology"
 	"lattol/internal/validate"
 )
 
@@ -93,23 +93,15 @@ func modelKey(r *ModelRequest, opName, subsystem, modeName string) (Key, error) 
 		return Key{}, validate.Fieldf("serve.BatchItemRequest", "op",
 			"= %q with subsystem/mode set; only tolerance items judge a subsystem", opName)
 	}
-	cfg, pat, geo, solver, err := components(r)
+	cfg, solver, err := components(r)
 	if err != nil {
 		return Key{}, err
 	}
-	if err := validateConfig(cfg, pat); err != nil {
+	if err := validateConfig(cfg); err != nil {
 		return Key{}, err
 	}
-	return canonicalKey(cfg, pat, geo, solver, op, sub, mode), nil
+	return canonicalKey(cfg, solver, op, sub, mode), nil
 }
-
-// patternKind is the canonical encoding of ModelRequest.Pattern.
-type patternKind uint8
-
-const (
-	patternGeometric patternKind = iota // the paper's default
-	patternUniform
-)
 
 // opKind distinguishes the cached operation families. Solve and tolerance
 // results live in one cache but under disjoint keys.
@@ -125,61 +117,42 @@ const (
 // applies defaults (ports, solver) and zeroes fields the evaluation cannot
 // depend on (pattern parameters when no access is remote, psw under the
 // uniform pattern, subsystem/mode for plain solves), so equivalent requests
-// coalesce and hit the same cache line. All fields are scalars: building and
-// comparing a Key allocates nothing, which keeps the cache-hit path at zero
-// allocations per request.
+// coalesce and hit the same cache line. The key holds the canonical model
+// configuration itself, which a cache miss solves as it is. All fields are
+// scalars: building and comparing a Key allocates nothing, which keeps the
+// cache-hit path at zero allocations per request.
 type Key struct {
-	op      opKind
-	sub     tolerance.Subsystem
-	mode    tolerance.IdealMode
-	solver  mms.Solver
-	pattern patternKind
-	geoMode access.GeometricMode
-
-	k, threads, memPorts, swPorts int
-
-	runlength, contextSwitch, memoryTime, switchTime, pRemote, psw float64
+	cfg    mms.Config
+	solver mms.Solver
+	sub    tolerance.Subsystem
+	mode   tolerance.IdealMode
+	op     opKind
 }
 
-// canonicalKey builds the Key of one evaluation from validated components.
-func canonicalKey(cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, op opKind, sub tolerance.Subsystem, mode tolerance.IdealMode) Key {
-	key := Key{
-		op:      op,
-		sub:     sub,
-		mode:    mode,
-		solver:  solver,
-		pattern: pat,
-		geoMode: geo,
-		k:       cfg.K,
-		threads: cfg.Threads,
-		// +0 folds IEEE negative zero into positive zero so -0.0 and 0.0
-		// requests share a key.
-		runlength:     cfg.Runlength + 0,
-		contextSwitch: cfg.ContextSwitch + 0,
-		memoryTime:    cfg.MemoryTime + 0,
-		switchTime:    cfg.SwitchTime + 0,
-		pRemote:       cfg.PRemote + 0,
-		psw:           cfg.Psw + 0,
-		memPorts:      cfg.MemoryPorts,
-		swPorts:       cfg.SwitchPorts,
-	}
-	if key.memPorts < 1 {
-		key.memPorts = 1
-	}
-	if key.swPorts < 1 {
-		key.swPorts = 1
-	}
-	if key.pRemote == 0 || key.k == 1 {
+// canonicalKey builds the Key of one evaluation from a validated
+// configuration, normalizing the configuration in place.
+func canonicalKey(cfg mms.Config, solver mms.Solver, op opKind, sub tolerance.Subsystem, mode tolerance.IdealMode) Key {
+	// +0 folds IEEE negative zero into positive zero so -0.0 and 0.0
+	// requests share a key.
+	cfg.Runlength += 0
+	cfg.ContextSwitch += 0
+	cfg.MemoryTime += 0
+	cfg.SwitchTime += 0
+	cfg.PRemote += 0
+	cfg.Psw += 0
+	cfg.MemoryPorts = max(cfg.MemoryPorts, 1)
+	cfg.SwitchPorts = max(cfg.SwitchPorts, 1)
+	if cfg.PRemote == 0 || cfg.K == 1 {
 		// No access ever touches the network: the pattern is irrelevant.
-		key.pattern, key.geoMode, key.psw = 0, 0, 0
-	} else if key.pattern == patternUniform {
+		cfg.Uniform, cfg.GeometricMode, cfg.Psw = false, 0, 0
+	} else if cfg.Uniform {
 		// The uniform pattern has no locality parameter.
-		key.geoMode, key.psw = 0, 0
+		cfg.GeometricMode, cfg.Psw = 0, 0
 	}
 	if op == opSolve {
-		key.sub, key.mode = 0, 0
+		sub, mode = 0, 0
 	}
-	return key
+	return Key{cfg: cfg, solver: solver, sub: sub, mode: mode, op: op}
 }
 
 // hash mixes the key's fields into a shard selector: word-at-a-time FNV-1a
@@ -188,66 +161,36 @@ func canonicalKey(cfg mms.Config, pat patternKind, geo access.GeometricMode, sol
 // murmur3-style finalizer so the low bits the shard mask reads are fully
 // avalanched despite the multiply-last word mixing.
 func (k *Key) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h = (h ^ v) * prime64
+	c := &k.cfg
+	var pattern uint64
+	if c.Uniform {
+		pattern = 1
 	}
-	mix(uint64(k.op) | uint64(k.sub)<<8 | uint64(k.mode)<<16 | uint64(k.solver)<<24 |
-		uint64(k.pattern)<<32 | uint64(k.geoMode)<<40)
-	mix(uint64(k.k))
-	mix(uint64(k.threads))
-	mix(uint64(k.memPorts))
-	mix(uint64(k.swPorts))
-	mix(math.Float64bits(k.runlength))
-	mix(math.Float64bits(k.contextSwitch))
-	mix(math.Float64bits(k.memoryTime))
-	mix(math.Float64bits(k.switchTime))
-	mix(math.Float64bits(k.pRemote))
-	mix(math.Float64bits(k.psw))
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	h := stats.NewFNV64()
+	h.Add(uint64(k.op) | uint64(k.sub)<<8 | uint64(k.mode)<<16 | uint64(k.solver)<<24 |
+		pattern<<32 | uint64(c.GeometricMode)<<40)
+	h.Add(uint64(c.K))
+	h.Add(uint64(c.Threads))
+	h.Add(uint64(c.MemoryPorts))
+	h.Add(uint64(c.SwitchPorts))
+	h.Add(math.Float64bits(c.Runlength))
+	h.Add(math.Float64bits(c.ContextSwitch))
+	h.Add(math.Float64bits(c.MemoryTime))
+	h.Add(math.Float64bits(c.SwitchTime))
+	h.Add(math.Float64bits(c.PRemote))
+	h.Add(math.Float64bits(c.Psw))
+	return h.Sum()
 }
 
-// config rebuilds the solver configuration the key denotes. Called on the
-// compute path only (cache misses), so constructing the pattern may
-// allocate.
-func (k Key) config() mms.Config {
-	cfg := mms.Config{
-		K:             k.k,
-		Threads:       k.threads,
-		Runlength:     k.runlength,
-		ContextSwitch: k.contextSwitch,
-		MemoryTime:    k.memoryTime,
-		SwitchTime:    k.switchTime,
-		PRemote:       k.pRemote,
-		Psw:           k.psw,
-		GeometricMode: k.geoMode,
-		MemoryPorts:   k.memPorts,
-		SwitchPorts:   k.swPorts,
-	}
-	if k.pattern == patternUniform && k.pRemote > 0 && k.k > 1 {
-		cfg.Pattern = access.MustUniform(topology.MustTorus(k.k))
-	}
-	return cfg
-}
-
-// parsePattern resolves the wire pattern name.
-func parsePattern(name string) (patternKind, error) {
+// parsePattern resolves the wire pattern name: whether it is uniform.
+func parsePattern(name string) (bool, error) {
 	switch name {
 	case "", "geometric":
-		return patternGeometric, nil
+		return false, nil
 	case "uniform":
-		return patternUniform, nil
+		return true, nil
 	default:
-		return 0, validate.Fieldf("serve.ModelRequest", "pattern", "= %q, want geometric or uniform", name)
+		return false, validate.Fieldf("serve.ModelRequest", "pattern", "= %q, want geometric or uniform", name)
 	}
 }
 
@@ -299,20 +242,11 @@ func parseMode(name string, sub tolerance.Subsystem) (tolerance.IdealMode, error
 
 // components parses the request's enum fields and assembles the (not yet
 // validated) solver configuration.
-func components(r *ModelRequest) (cfg mms.Config, pat patternKind, geo access.GeometricMode, solver mms.Solver, err error) {
+func components(r *ModelRequest) (cfg mms.Config, solver mms.Solver, err error) {
 	// MaxError is not part of the canonical Key (it selects how a result may
 	// be produced, not which result), but it is still client input.
 	if math.IsNaN(r.MaxError) || r.MaxError < 0 || r.MaxError >= 1 {
 		err = validate.Fieldf("serve.ModelRequest", "MaxError", "= %v, want in [0,1)", r.MaxError)
-		return
-	}
-	if pat, err = parsePattern(r.Pattern); err != nil {
-		return
-	}
-	if geo, err = parseGeometricMode(r.GeometricMode); err != nil {
-		return
-	}
-	if solver, err = mms.ParseSolver(r.Solver); err != nil {
 		return
 	}
 	cfg = mms.Config{
@@ -324,10 +258,16 @@ func components(r *ModelRequest) (cfg mms.Config, pat patternKind, geo access.Ge
 		SwitchTime:    r.SwitchTime,
 		PRemote:       r.PRemote,
 		Psw:           r.Psw,
-		GeometricMode: geo,
 		MemoryPorts:   r.MemoryPorts,
 		SwitchPorts:   r.SwitchPorts,
 	}
+	if cfg.Uniform, err = parsePattern(r.Pattern); err != nil {
+		return
+	}
+	if cfg.GeometricMode, err = parseGeometricMode(r.GeometricMode); err != nil {
+		return
+	}
+	solver, err = mms.ParseSolver(r.Solver)
 	return
 }
 
@@ -348,15 +288,8 @@ const (
 )
 
 // validateConfig checks a configuration without constructing its access
-// pattern, then applies the wire's model-size caps. The uniform pattern has
-// no locality parameter, so Psw is checked only when the geometric pattern
-// would actually be built; a placeholder value stands in during validation
-// (Key canonicalization zeroes psw for uniform requests, so the placeholder
-// never leaks into a cache key).
-func validateConfig(cfg mms.Config, pat patternKind) error {
-	if pat == patternUniform {
-		cfg.Psw = 1
-	}
+// pattern, then applies the wire's model-size caps.
+func validateConfig(cfg mms.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -19,14 +19,14 @@ func baseRequest() ModelRequest {
 // validation error.
 func mustKey(t *testing.T, r ModelRequest) Key {
 	t.Helper()
-	cfg, pat, geo, solver, err := components(&r)
+	cfg, solver, err := components(&r)
 	if err != nil {
 		t.Fatalf("components(%+v): %v", r, err)
 	}
-	if err := validateConfig(cfg, pat); err != nil {
+	if err := validateConfig(cfg); err != nil {
 		t.Fatalf("validate(%+v): %v", r, err)
 	}
-	return canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
+	return canonicalKey(cfg, solver, opSolve, 0, 0)
 }
 
 func TestCanonicalKeyEquivalences(t *testing.T) {
@@ -96,9 +96,9 @@ func TestCanonicalKeyEquivalences(t *testing.T) {
 
 	t.Run("solve and tolerance ops are disjoint", func(t *testing.T) {
 		r := baseRequest()
-		cfg, pat, geo, solver, _ := components(&r)
-		s := canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
-		tol := canonicalKey(cfg, pat, geo, solver, opTolerance, 0, 0)
+		cfg, solver, _ := components(&r)
+		s := canonicalKey(cfg, solver, opSolve, 0, 0)
+		tol := canonicalKey(cfg, solver, opTolerance, 0, 0)
 		if s == tol {
 			t.Error("solve and tolerance keys collide")
 		}
@@ -146,14 +146,13 @@ func TestUniformPatternValidatesWithoutPsw(t *testing.T) {
 func TestKeyConfigRoundTrip(t *testing.T) {
 	r := baseRequest()
 	r.Pattern = "uniform"
-	cfg, pat, geo, solver, err := components(&r)
+	k, err := SolveKey(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := canonicalKey(cfg, pat, geo, solver, opSolve, 0, 0)
-	back := k.config()
-	if back.Pattern == nil {
-		t.Fatal("uniform pattern lost in key round trip")
+	back := k.ModelConfig()
+	if !back.Uniform || back.Psw != 0 {
+		t.Fatalf("uniform key's config = %+v, want Uniform and no psw", back)
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped config invalid: %v", err)

@@ -51,11 +51,16 @@ func snapMetrics(b []byte, m mms.Metrics) []byte {
 }
 
 func snapRecord(b []byte, k Key, res result) []byte {
-	b = append(b, byte(k.op), byte(k.sub), byte(k.mode), byte(k.solver), byte(k.pattern), byte(k.geoMode))
-	for _, v := range [...]int{k.k, k.threads, k.memPorts, k.swPorts} {
+	c := &k.cfg
+	var pattern byte
+	if c.Uniform {
+		pattern = 1
+	}
+	b = append(b, byte(k.op), byte(k.sub), byte(k.mode), byte(k.solver), pattern, byte(c.GeometricMode))
+	for _, v := range [...]int{c.K, c.Threads, c.MemoryPorts, c.SwitchPorts} {
 		b = snapI64(b, v)
 	}
-	for _, v := range [...]float64{k.runlength, k.contextSwitch, k.memoryTime, k.switchTime, k.pRemote, k.psw} {
+	for _, v := range [...]float64{c.Runlength, c.ContextSwitch, c.MemoryTime, c.SwitchTime, c.PRemote, c.Psw} {
 		b = snapF64(b, v)
 	}
 	b = snapMetrics(b, res.real)
@@ -88,6 +93,22 @@ func (e *Evaluator) SnapshotCache(s *surrogate.Store) (int, error) {
 		return 0, err
 	}
 	return n, nil
+}
+
+// setEnums decodes a record's enum bytes (op, subsystem, mode, solver,
+// pattern, geometric mode) into k, reporting whether they form a
+// combination a request can produce.
+func (k *Key) setEnums(b [6]byte) bool {
+	k.op = opKind(b[0])
+	k.sub = tolerance.Subsystem(b[1])
+	k.mode = tolerance.IdealMode(b[2])
+	k.solver = mms.Solver(b[3])
+	k.cfg.Uniform = b[4] == 1
+	k.cfg.GeometricMode = access.GeometricMode(b[5])
+	return (k.op == opSolve || k.op == opTolerance) &&
+		k.sub <= tolerance.Memory && k.mode <= tolerance.ZeroRemote &&
+		!(k.sub == tolerance.Memory && k.mode == tolerance.ZeroRemote) &&
+		k.solver <= mms.ExactMVA && b[4] <= 1 && k.cfg.GeometricMode <= access.PerNode
 }
 
 // snapReader mirrors the surrogate codec's latched-error cursor.
@@ -206,21 +227,18 @@ func (e *Evaluator) RestoreCache(s *surrogate.Store, logf func(format string, ar
 	dropped := 0
 	for i := 0; i < count && r.err == nil; i++ {
 		var k Key
-		k.op = opKind(r.u8())
-		k.sub = tolerance.Subsystem(r.u8())
-		k.mode = tolerance.IdealMode(r.u8())
-		k.solver = mms.Solver(r.u8())
-		k.pattern = patternKind(r.u8())
-		k.geoMode = access.GeometricMode(r.u8())
-		k.k, k.threads, k.memPorts, k.swPorts = r.i64(), r.i64(), r.i64(), r.i64()
-		k.runlength, k.contextSwitch = r.f64(), r.f64()
-		k.memoryTime, k.switchTime = r.f64(), r.f64()
-		k.pRemote, k.psw = r.f64(), r.f64()
+		var enums [6]byte
+		copy(enums[:], r.take(len(enums)))
+		c := &k.cfg
+		c.K, c.Threads, c.MemoryPorts, c.SwitchPorts = r.i64(), r.i64(), r.i64(), r.i64()
+		c.Runlength, c.ContextSwitch = r.f64(), r.f64()
+		c.MemoryTime, c.SwitchTime = r.f64(), r.f64()
+		c.PRemote, c.Psw = r.f64(), r.f64()
 		res := result{real: r.metrics(), ideal: r.metrics(), tol: r.f64()}
 		if r.err != nil {
 			break
 		}
-		if (k.op != opSolve && k.op != opTolerance) || k.Recanonicalized() != k || finiteErr(res) != nil {
+		if !k.setEnums(enums) || validateConfig(k.cfg) != nil || k.Recanonicalized() != k || finiteErr(res) != nil {
 			dropped++
 			continue
 		}
@@ -235,7 +253,7 @@ func (e *Evaluator) RestoreCache(s *surrogate.Store, logf func(format string, ar
 		return 0
 	}
 	if dropped > 0 {
-		logf("serve: cache snapshot: dropped %d records that no longer re-canonicalize or hold non-finite results", dropped)
+		logf("serve: cache snapshot: dropped %d records that no request produces or that hold non-finite results", dropped)
 	}
 	restored := 0
 	for _, rec := range records {

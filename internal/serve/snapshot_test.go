@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +15,7 @@ import (
 	"testing"
 
 	"lattol/internal/mms"
+	"lattol/internal/mva"
 	"lattol/internal/surrogate"
 )
 
@@ -300,5 +303,123 @@ func TestRestoreDropsNonFiniteRecords(t *testing.T) {
 	}
 	if !(out.Metrics.Up > 0 && out.Metrics.Up <= 1) {
 		t.Errorf("solve of the dropped key: u_p = %v", out.Metrics.Up)
+	}
+}
+
+// TestKeyHashAndRecordPinned pins Key.Hash, which places keys on the
+// cluster ring, and the snapshot record bytes, which a restarted daemon
+// reads back: nodes of different builds must agree on owners, and a
+// snapshot written by an older build must restore. The digest covers the
+// whole record under one fixed result.
+func TestKeyHashAndRecordPinned(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name          string
+		op, sub, mode string
+		mutate        func(*ModelRequest)
+		hash          uint64
+		record        string // first 8 bytes of the record's SHA-256
+	}{
+		{"geometric solve", "", "", "", func(*ModelRequest) {},
+			0xfd61a2d7c9c226e4, "e7a7f328f2502b95"},
+		{"uniform solve", "", "", "", func(r *ModelRequest) { r.Pattern = "uniform" },
+			0x859ccc61c57c6c95, "9b1e5e6d8c38a273"},
+		{"uniform ignores psw", "", "", "", func(r *ModelRequest) { r.Pattern, r.Psw = "uniform", 0.9 },
+			0x859ccc61c57c6c95, "9b1e5e6d8c38a273"},
+		{"per-node solve", "", "", "", func(r *ModelRequest) { r.GeometricMode, r.Psw = "per-node", 0.7 },
+			0x27f72a9aa4423b50, "8cc4a273bb5c4a3d"},
+		{"tolerance network", "tolerance", "", "", func(*ModelRequest) {},
+			0x8f29e9327ce1e943, "5cafa1ec2392ec19"},
+		{"tolerance memory", "tolerance", "memory", "", func(*ModelRequest) {},
+			0x312ffa830ffd3c0f, "e0f5cac74d50dd8c"},
+		{"tolerance network zero-delay uniform", "tolerance", "network", "zero-delay", func(r *ModelRequest) { r.Pattern = "uniform" },
+			0x576f7c9a6f0ef821, "c6b462778d0bb675"},
+		{"tolerance memory per-node full", "tolerance", "memory", "zero-delay", func(r *ModelRequest) { r.GeometricMode, r.Solver = "per-node", "full" },
+			0xa0e663b877b6bbc6, "b2e32723f95d07e1"},
+		{"ports 0 and 2", "", "", "", func(r *ModelRequest) { r.MemoryPorts, r.SwitchPorts = 0, 2 },
+			0x902329acba3f51c4, "4f9894e575abe42f"},
+		{"ports 2 and 1", "", "", "", func(r *ModelRequest) { r.MemoryPorts, r.SwitchPorts = 2, 1 },
+			0x0f2a86c983fb45d8, "6c708ef87d1a009a"},
+		{"negative zeros", "", "", "", func(r *ModelRequest) { r.ContextSwitch, r.SwitchTime = negZero, negZero },
+			0x0417b2b1437319b5, "969d94a6072743b2"},
+		{"p_remote -0 uniform per-node", "", "", "", func(r *ModelRequest) {
+			r.PRemote, r.Pattern, r.GeometricMode, r.Psw = negZero, "uniform", "per-node", 0.9
+		}, 0x1f6af68c51f77d21, "61a29505fda02ef2"},
+		{"p_remote 0 tolerance memory", "tolerance", "memory", "", func(r *ModelRequest) { r.PRemote = 0 },
+			0xffee2e5dbe919349, "9c3c6844393c108e"},
+		{"k 1 exact", "", "", "", func(r *ModelRequest) { r.K, r.PRemote, r.Solver, r.Threads = 1, 0, "exact", 3 },
+			0x5007afdb3f4e3d26, "f0666e7f80e4707c"},
+		{"k 16 wire caps", "", "", "", func(r *ModelRequest) { r.K, r.Threads, r.Runlength, r.ContextSwitch = 16, 16384, 2.5, 0.25 },
+			0x4f913eafcbae5183, "f2920cad84c7ece6"},
+	}
+	res := result{real: mms.Metrics{Up: 0.5, CycleTime: 20, Iterations: 7}, ideal: mms.Metrics{Up: 0.75}, tol: 2.0 / 3}
+	for _, c := range cases {
+		r := baseRequest()
+		c.mutate(&r)
+		k, err := modelKey(&r, c.op, c.sub, c.mode)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := k.Hash(); got != c.hash {
+			t.Errorf("%s: Hash = %#016x, want %#016x", c.name, got, c.hash)
+		}
+		sum := sha256.Sum256(snapRecord(nil, k, res))
+		if got := hex.EncodeToString(sum[:8]); got != c.record {
+			t.Errorf("%s: record digest %s, want %s", c.name, got, c.record)
+		}
+	}
+}
+
+// TestRestoreDropsRecordsNoRequestProduces: a record whose enum bytes are
+// out of range, or whose configuration fails the validation a request
+// passes, is dropped and counted; the valid record beside them restores.
+func TestRestoreDropsRecordsNoRequestProduces(t *testing.T) {
+	good, err := ToleranceKey(ToleranceRequest{ModelRequest: baseRequest(), Subsystem: "memory"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := result{real: mms.Metrics{Up: 0.5, CycleTime: 20}, ideal: mms.Metrics{Up: 0.6, CycleTime: 16}, tol: 0.5 / 0.6}
+	rec := snapRecord(nil, good, res)
+	// Record layout: op, subsystem, mode, solver, pattern and geometric-mode
+	// bytes, then K and Threads as little-endian int64s.
+	bad := []func(b []byte){
+		func(b []byte) { b[3] = 9 },                 // no such solver
+		func(b []byte) { b[4] = 7 },                 // no such pattern
+		func(b []byte) { b[5] = 2 },                 // no such geometric mode
+		func(b []byte) { b[2] = 1 },                 // zero-remote on the memory subsystem
+		func(b []byte) { snapI64(b[6:6], -3) },      // K = -3
+		func(b []byte) { snapI64(b[14:14], 16385) }, // above the thread cap
+	}
+	blob := []byte(snapMagic)
+	blob = snapU32(blob, snapVersion)
+	blob = snapU32(blob, uint32(len(mva.SolverVersion)))
+	blob = append(blob, mva.SolverVersion...)
+	blob = snapI64(blob, 1+len(bad))
+	blob = append(blob, rec...)
+	for _, mutate := range bad {
+		b := append([]byte(nil), rec...)
+		mutate(b)
+		blob = append(blob, b...)
+	}
+	store := newSnapStore(t)
+	h, err := store.Put(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Link(SnapshotRefName, h); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewEvaluator(Config{Workers: 1})
+	defer e.Close()
+	var logs []string
+	if n := e.RestoreCache(store, func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }); n != 1 {
+		t.Errorf("restored %d records, want 1 (logs: %q)", n, logs)
+	}
+	if want := fmt.Sprintf("dropped %d records", len(bad)); len(logs) != 1 || !strings.Contains(logs[0], want) {
+		t.Errorf("logs = %q, want one line with %q", logs, want)
+	}
+	if got, ok := e.cache.peek(&good); !ok || got != res {
+		t.Errorf("valid record: cached %+v (present %v), want %+v", got, ok, res)
 	}
 }

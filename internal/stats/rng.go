@@ -44,6 +44,32 @@ func SplitMix64(z uint64) (uint64, uint64) {
 	return x ^ (x >> 31), z
 }
 
+// FNV64 is the repository's hash mixer for keys and ring positions: 64-bit
+// FNV-1a fed one uint64 per xor/multiply step (a caller hashing bytes feeds
+// one byte per step), finished by murmur3's fmix64 so every output bit
+// depends on every input bit. serve.Key and the cluster ring hash with it,
+// and their outputs are pinned: they place keys on the ring and shard the
+// cache. SplitMix64 stays a separate mixer because the simulators' seed
+// streams are pinned to it.
+type FNV64 struct{ h uint64 }
+
+// NewFNV64 returns a mixer at the FNV-1a offset basis.
+func NewFNV64() FNV64 { return FNV64{h: 14695981039346656037} }
+
+// Add mixes one word: h = (h ^ v) · FNV prime.
+func (f *FNV64) Add(v uint64) { f.h = (f.h ^ v) * 1099511628211 }
+
+// Sum returns the finalized hash (fmix64 of the state).
+func (f *FNV64) Sum() uint64 {
+	h := f.h
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
 // Uint64 returns the next 64 uniform random bits (xoshiro256**).
 func (r *RNG) Uint64() uint64 {
 	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
