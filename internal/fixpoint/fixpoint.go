@@ -1,8 +1,8 @@
-// Package fixpoint implements safeguarded acceleration schemes for damped
+// Package fixpoint implements safeguarded Anderson acceleration for
 // successive-substitution iterations x ← G(x) on nonnegative vectors, used
 // by the multiclass AMVA solver (mva.ApproxMultiClass, behind mms's
 // FullAMVA and heterogeneous models). The symmetric solver's lockstep batch
-// kernel (mva.BatchWorkspace) inlines its own per-lane Aitken step.
+// kernel (mva.BatchWorkspace) inlines its own guarded per-lane Aitken step.
 //
 // The accelerator never evaluates the map itself: the caller evaluates
 // g = G(x), tests its own convergence criterion on the raw residual g − x,
@@ -20,23 +20,16 @@ type Scheme int
 const (
 	// None takes the plain step x ← g.
 	None Scheme = iota
-	// Aitken applies Aitken Δ² extrapolation in its Irons–Tuck vector form
-	// every other step: two plain steps produce consecutive residuals whose
-	// projection estimates the dominant contraction factor μ, and the
-	// geometric tail Σ μᵏ is summed in closed form. When μ falls outside
-	// (−1, 1) or the extrapolated iterate leaves [0, upper], the step keeps
-	// the plain update.
-	Aitken
-	// Anderson runs depth-m Anderson mixing: the next iterate combines the
-	// last m residual differences through a least-squares step. When the LS
+	// Anderson runs depth-3 Anderson mixing: the next iterate combines the
+	// last three residual differences through a least-squares step. When the LS
 	// system is ill-conditioned or the mixed iterate leaves [0, upper], the
 	// step falls back to the plain iteration and the history restarts.
 	Anderson
 )
 
-// DefaultAndersonDepth is the Anderson mixing depth used when the caller
-// does not choose one.
-const DefaultAndersonDepth = 3
+// mixDepth is the Anderson mixing depth m: how many recent residual
+// differences enter the least-squares step.
+const mixDepth = 3
 
 // Accelerator holds the state and scratch buffers of one accelerated
 // iteration. The zero value is unusable; call Reset before the first
@@ -44,12 +37,6 @@ const DefaultAndersonDepth = 3
 // allocates nothing in steady state.
 type Accelerator struct {
 	scheme Scheme
-	depth  int
-
-	// Aitken: xPrev is the iterate two evaluations ago; havePrev marks the
-	// second leg of the extrapolation cycle.
-	xPrev    []float64
-	havePrev bool
 
 	// Anderson: f is the current residual g−x; fPrev/gPrev the previous
 	// residual and map value (valid iff haveRes); dF/dG the depth×n
@@ -63,29 +50,20 @@ type Accelerator struct {
 }
 
 // Reset prepares the accelerator for a fresh iteration over vectors of
-// length n. depth is the Anderson mixing depth; values < 1 select
-// DefaultAndersonDepth. Schemes other than the selected one keep no state.
-func (a *Accelerator) Reset(scheme Scheme, depth, n int) {
+// length n. None keeps no state.
+func (a *Accelerator) Reset(scheme Scheme, n int) {
 	a.scheme = scheme
-	if depth < 1 {
-		depth = DefaultAndersonDepth
-	}
-	a.depth = depth
-	a.havePrev = false
 	a.haveRes = false
 	a.histLen, a.histPos = 0, 0
-	switch scheme {
-	case Aitken:
-		a.xPrev = resize(a.xPrev, n)
-	case Anderson:
+	if scheme == Anderson {
 		a.f = resize(a.f, n)
 		a.fPrev = resize(a.fPrev, n)
 		a.gPrev = resize(a.gPrev, n)
-		a.dF = resize(a.dF, depth*n)
-		a.dG = resize(a.dG, depth*n)
-		a.gram = resize(a.gram, depth*depth)
-		a.rhs = resize(a.rhs, depth)
-		a.gamma = resize(a.gamma, depth)
+		a.dF = resize(a.dF, mixDepth*n)
+		a.dG = resize(a.dG, mixDepth*n)
+		a.gram = resize(a.gram, mixDepth*mixDepth)
+		a.rhs = resize(a.rhs, mixDepth)
+		a.gamma = resize(a.gamma, mixDepth)
 	}
 }
 
@@ -95,59 +73,9 @@ func (a *Accelerator) Reset(scheme Scheme, depth, n int) {
 // rejected in favor of the plain step. len(x), len(g) and len(upper) must
 // equal the n passed to Reset.
 func (a *Accelerator) Advance(x, g, upper []float64) {
-	switch a.scheme {
-	case Aitken:
-		a.advanceAitken(x, g, upper)
-	case Anderson:
+	if a.scheme == Anderson {
 		a.advanceAnderson(x, g, upper)
-	default:
-		copy(x, g)
-	}
-}
-
-func (a *Accelerator) advanceAitken(x, g, upper []float64) {
-	if !a.havePrev {
-		// First leg of the cycle: take the plain step, remember where it
-		// started.
-		copy(a.xPrev, x)
-		copy(x, g)
-		a.havePrev = true
-		return
-	}
-	// Second leg: x = G(xPrev) and g = G(x), so r1 = x − xPrev and
-	// r2 = g − x are consecutive residuals of the plain iteration. Near the
-	// fixed point r2 ≈ μ·r1 along the dominant eigendirection; projecting
-	// estimates μ, and summing the remaining geometric tail in closed form
-	// gives the Irons–Tuck vector Δ² extrapolation
-	//
-	//	x* = g + μ/(1−μ) · (g − x).
-	//
-	// (Componentwise Δ² is NOT used: with several mixed eigendirections it
-	// can settle into a limit cycle whose extrapolant is a fixed point of
-	// the acceleration map but not of G.)
-	a.havePrev = false
-	var r1r1, r1r2 float64
-	for i := range x {
-		r1 := x[i] - a.xPrev[i]
-		r2 := g[i] - x[i]
-		r1r1 += r1 * r1
-		r1r2 += r1 * r2
-	}
-	if !(r1r1 > 0) || math.IsNaN(r1r2) || math.IsInf(r1r2, 0) {
-		copy(x, g)
-		return
-	}
-	mu := r1r2 / r1r1
-	if !(mu > -1 && mu < 1) {
-		// Not a contraction estimate; extrapolating would be a wild guess.
-		copy(x, g)
-		return
-	}
-	fac := mu / (1 - mu)
-	for i := range x {
-		x[i] = g[i] + fac*(g[i]-x[i])
-	}
-	if !feasible(x, upper) {
+	} else {
 		copy(x, g)
 	}
 }
@@ -164,8 +92,8 @@ func (a *Accelerator) advanceAnderson(x, g, upper []float64) {
 			a.dF[col+i] = f[i] - a.fPrev[i]
 			a.dG[col+i] = g[i] - a.gPrev[i]
 		}
-		a.histPos = (a.histPos + 1) % a.depth
-		if a.histLen < a.depth {
+		a.histPos = (a.histPos + 1) % mixDepth
+		if a.histLen < mixDepth {
 			a.histLen++
 		}
 	}

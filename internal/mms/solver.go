@@ -97,9 +97,9 @@ func (o SolveOptions) Validate() error {
 		return validate.Fieldf("mms.SolveOptions", "Tolerance", "= %v, want finite >= 0", o.Tolerance)
 	}
 	switch o.Accel {
-	case mva.AccelNone, mva.AccelAitken, mva.AccelAnderson:
+	case mva.AccelNone, mva.AccelAnderson:
 	default:
-		return validate.Fieldf("mms.SolveOptions", "Accel", "= %d, want AccelNone, AccelAitken or AccelAnderson", int(o.Accel))
+		return validate.Fieldf("mms.SolveOptions", "Accel", "= %d, want AccelNone or AccelAnderson", int(o.Accel))
 	}
 	return nil
 }

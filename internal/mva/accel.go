@@ -8,14 +8,13 @@ import (
 	"lattol/internal/queueing"
 )
 
-// This file implements the accelerated fixed-point drivers behind
-// AMVAOptions.Accel. Both schemes wrap the same map evaluation evalG — one
-// full (optionally damped) Bard–Schweitzer sweep — so a converged
-// accelerated solve satisfies exactly the same stopping criterion as the
-// plain iteration: ‖G(n) − n‖∞ < Tolerance on the raw sweep. Acceleration
-// only changes the point the next sweep is evaluated at (see
-// internal/fixpoint), never the map or the convergence test, so the fixed
-// point is unchanged.
+// This file implements ApproxMultiClass's one fixed-point loop. Every
+// AMVAOptions.Accel scheme wraps the same map evaluation evalG — one full
+// Bard–Schweitzer sweep — so an accelerated solve satisfies exactly the same
+// stopping criterion as the plain one: ‖G(n) − n‖∞ < Tolerance on the raw
+// sweep. Acceleration only changes the point the next sweep is evaluated at
+// (see internal/fixpoint), never the map or the convergence test, so the
+// fixed point is unchanged; AccelNone is the plain step x ← G(x).
 
 // evalG evaluates one Bard–Schweitzer sweep at the iterate x, writing the
 // updated queue lengths into g (x is not modified) and filling the result's
@@ -25,7 +24,7 @@ import (
 // Rows of zero-population classes are zeroed in g: the sweep skips them, and
 // all iterates must keep them at zero so they never contribute to the column
 // sums.
-func (ws *Workspace) evalG(net *queueing.Network, opts AMVAOptions, x, g []float64, r *Result) (float64, error) {
+func (ws *Workspace) evalG(net *queueing.Network, x, g []float64, r *Result) (float64, error) {
 	nc := len(net.Classes)
 	nm := len(net.Stations)
 	colSum := ws.colSum
@@ -56,15 +55,12 @@ func (ws *Workspace) evalG(net *queueing.Network, opts AMVAOptions, x, g []float
 			return 0, fmt.Errorf("mva: class %q has zero total demand", cl.Name)
 		}
 		if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
-			return math.Inf(1), nil // overflow; iterateAccel reports it
+			return math.Inf(1), nil // overflow; iterate reports it
 		}
 		r.Throughput[c] = ni / cycle
 		r.CycleTime[c] = cycle
 		for m := 0; m < nm; m++ {
 			nNew := r.Throughput[c] * cl.Visits[m] * r.Wait[c][m]
-			if opts.Damping > 0 {
-				nNew = (1-opts.Damping)*nNew + opts.Damping*row[m]
-			}
 			if d := math.Abs(nNew - row[m]); d > maxResid {
 				maxResid = d
 			}
@@ -74,10 +70,10 @@ func (ws *Workspace) evalG(net *queueing.Network, opts AMVAOptions, x, g []float
 	return maxResid, nil
 }
 
-// iterateAccel runs the accelerated fixed-point loop for opts.Accel. Every
-// evalG sweep counts as one iteration, so Result.Iterations is directly
-// comparable across acceleration modes.
-func (ws *Workspace) iterateAccel(net *queueing.Network, opts AMVAOptions, r *Result) error {
+// iterate runs the fixed-point loop from the iterate in ws.q, advancing it
+// by opts.Accel. Every evalG sweep counts as one iteration, so
+// Result.Iterations is directly comparable across acceleration modes.
+func (ws *Workspace) iterate(net *queueing.Network, opts AMVAOptions, r *Result) error {
 	nc := len(net.Classes)
 	nm := len(net.Stations)
 	n := nc * nm
@@ -92,22 +88,17 @@ func (ws *Workspace) iterateAccel(net *queueing.Network, opts AMVAOptions, r *Re
 			row[i] = bound
 		}
 	}
-	var scheme fixpoint.Scheme
-	switch opts.Accel {
-	case AccelAitken:
-		scheme = fixpoint.Aitken
-	case AccelAnderson:
+	scheme := fixpoint.None
+	if opts.Accel == AccelAnderson {
 		scheme = fixpoint.Anderson
-	default:
-		scheme = fixpoint.None
 	}
-	ws.accel.Reset(scheme, opts.AndersonDepth, n)
+	ws.accel.Reset(scheme, n)
 
 	x, g := ws.q, ws.g
 	resid := 0.0
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
 		var err error
-		resid, err = ws.evalG(net, opts, x, g, r)
+		resid, err = ws.evalG(net, x, g, r)
 		if err != nil {
 			return err
 		}

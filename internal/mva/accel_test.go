@@ -84,7 +84,7 @@ func accelTestNets() map[string]*queueing.Network {
 	}
 }
 
-// TestAccelMatchesPlain: aitken and anderson converge to the plain
+// TestAccelMatchesPlain: anderson converges to the plain
 // Bard–Schweitzer fixed point within 1e-9 on every test network. Both sides
 // solve at 1e-12 so the comparison tolerance is not eaten by the
 // convergence-to-fixed-point gap.
@@ -94,35 +94,31 @@ func TestAccelMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: plain: %v", name, err)
 		}
-		for _, accel := range []Accel{AccelAitken, AccelAnderson} {
-			res, err := ApproxMultiClass(net, AMVAOptions{Tolerance: 1e-12, Accel: accel})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, accel, err)
-			}
-			compareResults(t, name+"/"+accel.String(), res, plain, 1e-9)
-			if res.Iterations <= 0 {
-				t.Errorf("%s/%s: Iterations = %d, want > 0", name, accel, res.Iterations)
-			}
+		res, err := ApproxMultiClass(net, AMVAOptions{Tolerance: 1e-12, Accel: AccelAnderson})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compareResults(t, name+"/anderson", res, plain, 1e-9)
+		if res.Iterations <= 0 {
+			t.Errorf("%s: Iterations = %d, want > 0", name, res.Iterations)
 		}
 	}
 }
 
 // TestAccelFewerIterations: on the congested network (slow plain
-// convergence) both schemes need strictly fewer sweeps.
+// convergence) anderson needs strictly fewer sweeps.
 func TestAccelFewerIterations(t *testing.T) {
 	net := accelTestNets()["congested"]
 	plain, err := ApproxMultiClass(net, AMVAOptions{Tolerance: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, accel := range []Accel{AccelAitken, AccelAnderson} {
-		res, err := ApproxMultiClass(net, AMVAOptions{Tolerance: 1e-10, Accel: accel})
-		if err != nil {
-			t.Fatalf("%s: %v", accel, err)
-		}
-		if res.Iterations >= plain.Iterations {
-			t.Errorf("%s: %d iterations, plain needs %d — no speedup", accel, res.Iterations, plain.Iterations)
-		}
+	res, err := ApproxMultiClass(net, AMVAOptions{Tolerance: 1e-10, Accel: AccelAnderson})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations >= plain.Iterations {
+		t.Errorf("%d iterations, plain needs %d — no speedup", res.Iterations, plain.Iterations)
 	}
 }
 
@@ -138,7 +134,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 			{Name: "b", Population: 2, Visits: []float64{1, 0.1, 1.4}},
 		},
 	}
-	for _, accel := range []Accel{AccelNone, AccelAitken, AccelAnderson} {
+	for _, accel := range []Accel{AccelNone, AccelAnderson} {
 		opts := AMVAOptions{Tolerance: 1e-12, Accel: accel}
 		cold, err := ApproxMultiClass(perturbed, opts)
 		if err != nil {
@@ -232,8 +228,7 @@ func TestAMVAOptionsValidate(t *testing.T) {
 		{"negative tolerance", AMVAOptions{Tolerance: -1e-9}, "Tolerance"},
 		{"NaN tolerance", AMVAOptions{Tolerance: math.NaN()}, "Tolerance"},
 		{"unknown accel", AMVAOptions{Accel: Accel(42)}, "Accel"},
-		{"negative depth", AMVAOptions{AndersonDepth: -1}, "AndersonDepth"},
-		{"valid accel", AMVAOptions{Accel: AccelAnderson, AndersonDepth: 5}, ""},
+		{"valid accel", AMVAOptions{Accel: AccelAnderson}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -251,18 +246,6 @@ func TestAMVAOptionsValidate(t *testing.T) {
 	// The solver itself must reject, not sanitize.
 	if _, err := ApproxMultiClass(twoClassNet(), AMVAOptions{Tolerance: -1}); validate.Field(err) != "Tolerance" {
 		t.Errorf("ApproxMultiClass(Tolerance=-1) err = %v, want FieldError on Tolerance", err)
-	}
-}
-
-func TestParseAccel(t *testing.T) {
-	for name, want := range map[string]Accel{"": AccelNone, "none": AccelNone, "aitken": AccelAitken, "anderson": AccelAnderson} {
-		got, err := ParseAccel(name)
-		if err != nil || got != want {
-			t.Errorf("ParseAccel(%q) = %v, %v; want %v, nil", name, got, err, want)
-		}
-	}
-	if _, err := ParseAccel("broyden"); validate.Field(err) != "Accel" {
-		t.Errorf("ParseAccel(broyden) err = %v, want FieldError on Accel", err)
 	}
 }
 
@@ -319,7 +302,7 @@ func TestExactWorkspaceAllocFree(t *testing.T) {
 // allocation-free on a warmed workspace too.
 func TestApproxWorkspaceAllocFreeWithAccel(t *testing.T) {
 	net := twoClassNet()
-	for _, accel := range []Accel{AccelNone, AccelAitken, AccelAnderson} {
+	for _, accel := range []Accel{AccelNone, AccelAnderson} {
 		var ws Workspace
 		opts := AMVAOptions{Accel: accel, WarmStart: true}
 		if _, err := ws.ApproxMultiClass(net, opts); err != nil {

@@ -16,21 +16,15 @@ import (
 type Accel int
 
 const (
-	// AccelNone runs the plain (optionally damped) Bard–Schweitzer
-	// successive substitution of the paper's Figure 3. Default.
+	// AccelNone runs the plain Bard–Schweitzer successive substitution of
+	// the paper's Figure 3. Default.
 	AccelNone Accel = iota
-	// AccelAitken applies componentwise Aitken Δ² extrapolation every other
-	// iteration (vector Steffensen): two plain steps produce the triple
-	// (n, G(n), G(G(n))) and each component is extrapolated through its own
-	// geometric-convergence model. Components whose denominator is
-	// ill-conditioned, or whose extrapolated value leaves [0, ΣN], fall back
-	// to the plain update.
-	AccelAitken
-	// AccelAnderson runs depth-m Anderson mixing: the next iterate combines
-	// the last m residuals through a least-squares step. When the LS system
-	// is ill-conditioned or the mixed iterate leaves the feasible region
-	// (negative or non-finite queue lengths), the step falls back to the
-	// plain damped iteration and the history restarts.
+	// AccelAnderson runs depth-3 Anderson mixing (fixpoint.Anderson): the
+	// next iterate combines the last three residuals through a
+	// least-squares step. When the LS system is ill-conditioned or the mixed
+	// iterate leaves the feasible region (negative or non-finite queue
+	// lengths), the step falls back to the plain iteration and the history
+	// restarts.
 	AccelAnderson
 )
 
@@ -38,27 +32,10 @@ func (a Accel) String() string {
 	switch a {
 	case AccelNone:
 		return "none"
-	case AccelAitken:
-		return "aitken"
 	case AccelAnderson:
 		return "anderson"
 	default:
 		return fmt.Sprintf("Accel(%d)", int(a))
-	}
-}
-
-// ParseAccel maps the CLI/wire name of an acceleration scheme to its Accel
-// value; the empty string selects AccelNone.
-func ParseAccel(name string) (Accel, error) {
-	switch name {
-	case "", "none":
-		return AccelNone, nil
-	case "aitken":
-		return AccelAitken, nil
-	case "anderson":
-		return AccelAnderson, nil
-	default:
-		return 0, validate.Fieldf("mva.AMVAOptions", "Accel", "= %q, want none, aitken or anderson", name)
 	}
 }
 
@@ -72,22 +49,10 @@ type AMVAOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the fixed-point loop. Default 100000.
 	MaxIterations int
-	// Damping in [0,1) blends each new queue-length estimate with the
-	// previous one: n ← (1-d)·n_new + d·n_old. 0 (default) reproduces the
-	// plain Bard–Schweitzer iteration of the paper's Figure 3. Values
-	// outside [0,1) are rejected by ApproxMultiClass: d = 1 would freeze
-	// the iterate (the first iteration sees no change and "converges" to
-	// the uniform initial guess), and d > 1 or d < 0 extrapolates instead
-	// of damping.
-	Damping float64
 	// Accel selects a fixed-point acceleration scheme. All schemes converge
 	// to the same fixed point (the convergence test is the raw residual);
 	// they differ only in iteration count. Default AccelNone.
 	Accel Accel
-	// AndersonDepth is the mixing depth m of AccelAnderson (how many recent
-	// residual differences enter the least-squares step). 0 selects the
-	// default of 3; negative values are rejected.
-	AndersonDepth int
 	// WarmStart seeds the queue-length iterate from the workspace's previous
 	// converged solution instead of the uniform initial spread. The seed is
 	// shape-checked: when the workspace's last converged solve had a
@@ -104,16 +69,10 @@ func (o AMVAOptions) Validate() error {
 	if math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) || o.Tolerance < 0 {
 		return validate.Fieldf("mva.AMVAOptions", "Tolerance", "= %v, want finite >= 0", o.Tolerance)
 	}
-	if d := o.Damping; math.IsNaN(d) || d < 0 || d >= 1 {
-		return validate.Fieldf("mva.AMVAOptions", "Damping", "= %v, want in [0,1)", d)
-	}
 	switch o.Accel {
-	case AccelNone, AccelAitken, AccelAnderson:
+	case AccelNone, AccelAnderson:
 	default:
-		return validate.Fieldf("mva.AMVAOptions", "Accel", "= %d, want AccelNone, AccelAitken or AccelAnderson", int(o.Accel))
-	}
-	if o.AndersonDepth < 0 {
-		return validate.Fieldf("mva.AMVAOptions", "AndersonDepth", "= %d, want >= 0", o.AndersonDepth)
+		return validate.Fieldf("mva.AMVAOptions", "Accel", "= %d, want AccelNone or AccelAnderson", int(o.Accel))
 	}
 	return nil
 }
@@ -136,9 +95,6 @@ func (o AMVAOptions) withDefaults() AMVAOptions {
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = DefaultMaxIterations
-	}
-	if o.AndersonDepth <= 0 {
-		o.AndersonDepth = 3
 	}
 	return o
 }
@@ -251,13 +207,7 @@ func (ws *Workspace) ApproxMultiClass(net *queueing.Network, opts AMVAOptions) (
 		}
 	}
 
-	var err error
-	if opts.Accel == AccelNone {
-		err = ws.iteratePlain(net, opts, r)
-	} else {
-		err = ws.iterateAccel(net, opts, r)
-	}
-	if err != nil {
+	if err := ws.iterate(net, opts, r); err != nil {
 		return nil, err
 	}
 	r.Method = MethodApprox
@@ -266,88 +216,4 @@ func (ws *Workspace) ApproxMultiClass(net *queueing.Network, opts AMVAOptions) (
 	}
 	ws.warmOK, ws.warmNC, ws.warmNM = true, nc, nm
 	return r, nil
-}
-
-// iteratePlain is the plain (optionally damped) Bard–Schweitzer successive
-// substitution, updating ws.q in place until the queue lengths stabilize.
-func (ws *Workspace) iteratePlain(net *queueing.Network, opts AMVAOptions, r *Result) error {
-	nc := len(net.Classes)
-	nm := len(net.Stations)
-	q := ws.q
-	colSum := ws.colSum
-
-	maxDelta := 0.0
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
-		for m := 0; m < nm; m++ {
-			colSum[m] = 0
-			for c := 0; c < nc; c++ {
-				colSum[m] += q[c*nm+m]
-			}
-		}
-		maxDelta = 0
-		for c, cl := range net.Classes {
-			if cl.Population == 0 {
-				continue
-			}
-			row := q[c*nm : (c+1)*nm]
-			ni := float64(cl.Population)
-			var cycle float64
-			for m := 0; m < nm; m++ {
-				// Queue seen by an arriving class-c customer (arrival
-				// theorem approximation).
-				seen := colSum[m] - row[m]/ni
-				r.Wait[c][m] = residence(net.Stations[m], seen)
-				cycle += cl.Visits[m] * r.Wait[c][m]
-			}
-			if cycle == 0 {
-				return fmt.Errorf("mva: class %q has zero total demand", cl.Name)
-			}
-			if math.IsInf(cycle, 0) || math.IsNaN(cycle) {
-				return overflowError(iter-1, opts.Tolerance)
-			}
-			r.Throughput[c] = ni / cycle
-			r.CycleTime[c] = cycle
-			for m := 0; m < nm; m++ {
-				nNew := r.Throughput[c] * cl.Visits[m] * r.Wait[c][m]
-				if opts.Damping > 0 {
-					nNew = (1-opts.Damping)*nNew + opts.Damping*row[m]
-				}
-				if d := math.Abs(nNew - row[m]); d > maxDelta {
-					maxDelta = d
-				}
-				row[m] = nNew
-			}
-		}
-		if maxDelta < opts.Tolerance {
-			r.Iterations = iter
-			return nil
-		}
-	}
-	return &NonConvergenceError{
-		Iterations: opts.MaxIterations,
-		MaxDelta:   maxDelta,
-		Tolerance:  opts.Tolerance,
-	}
-}
-
-// Solve picks a solver automatically: exact MVA when the population lattice
-// is small (≤ exactLimit states, default 1<<16), approximate MVA otherwise.
-// The chosen solver is reported in Result.Method.
-func Solve(net *queueing.Network, exactLimit int) (*Result, error) {
-	if exactLimit <= 0 {
-		exactLimit = 1 << 16
-	}
-	states := 1
-	exact := true
-	for _, cl := range net.Classes {
-		if states > exactLimit/(cl.Population+1) {
-			exact = false
-			break
-		}
-		states *= cl.Population + 1
-	}
-	if exact {
-		return ExactMultiClass(net, exactLimit)
-	}
-	return ApproxMultiClass(net, AMVAOptions{})
 }

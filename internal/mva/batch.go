@@ -61,9 +61,9 @@ type BatchOptions struct {
 // dense over contiguous leading columns — branch-free, prefetch-friendly and
 // with Σ_b iters(b) total lane-sweeps rather than B·max_b iters(b).
 //
-// The lockstep loop is accelerated per lane by the same safeguarded vector
-// Aitken Δ² (Irons–Tuck) scheme as internal/fixpoint: two plain sweeps
-// estimate the dominant contraction factor μ from consecutive residuals and
+// The lockstep loop is accelerated per lane by a safeguarded vector Aitken
+// Δ² (Irons–Tuck) scheme, from the first sweep of a cold lane on: two plain
+// sweeps estimate the dominant contraction factor μ from consecutive residuals and
 // the geometric tail is summed in closed form, x* = g + μ/(1−μ)·(g−x).
 // Acceleration only moves the point the next sweep is evaluated at — the map
 // and the raw-residual stopping test are unchanged, so the fixed point is
@@ -73,13 +73,13 @@ type BatchOptions struct {
 // (the stall guard: without it a lane seeded near its fixed point can cycle
 // between extrapolants that never converge).
 //
-// Seeding implements shared warm-start continuation. On a cold batch, the
-// first healthy lane is pilot-solved alone (a strided loop — the wide loops
-// never run with a single live lane) and its converged solution seeds every
-// other lane. Every Run keeps its last converged lane's solution; with
-// BatchOptions.WarmStart the next Run of the same station count seeds all of
-// its lanes from it instead of running a pilot — the batched analogue of
-// AMVAOptions.WarmStart.
+// Seeding implements shared warm-start continuation. On a cold batch, every
+// lane starts from its own uniform spread (ApproxMultiClass's cold guess), so
+// a cold lane's result, iteration count included, is the one a one-lane
+// batch of the same inputs would give. Every Run keeps its last converged
+// lane's solution; with BatchOptions.WarmStart the next Run of the same
+// station count seeds all of its lanes from it instead — the batched analogue
+// of AMVAOptions.WarmStart.
 //
 // The zero value is ready to use. A BatchWorkspace may be used by one
 // goroutine at a time; Run performs no allocations in steady state (error
@@ -201,9 +201,6 @@ func (ws *BatchWorkspace) SetWeight(i, b int, weight float64) {
 // fails with an error).
 func (ws *BatchWorkspace) SetPopulation(b int, pop float64) { ws.pop[b] = pop }
 
-// Lanes returns the lane count of the last Reset.
-func (ws *BatchWorkspace) Lanes() int { return ws.lanes }
-
 // Lambda returns lane b's converged throughput. Defined only when Err(b) is
 // nil.
 func (ws *BatchWorkspace) Lambda(b int) float64 { return ws.lambda[ws.slot[b]] }
@@ -218,8 +215,7 @@ func (ws *BatchWorkspace) Visit(i, b int) float64 { return ws.e[i*ws.lanes+ws.sl
 // Weight returns the physical multiplicity of station i in lane b.
 func (ws *BatchWorkspace) Weight(i, b int) float64 { return ws.mult[i*ws.lanes+ws.slot[b]] }
 
-// Iterations returns the number of fixed-point iterations lane b consumed
-// (pilot iterations included for the pilot lane).
+// Iterations returns the number of fixed-point iterations lane b consumed.
 func (ws *BatchWorkspace) Iterations(b int) int { return ws.iters[b] }
 
 // Err returns lane b's failure, or nil when the lane converged.
@@ -296,62 +292,38 @@ func (ws *BatchWorkspace) Run(opts BatchOptions) {
 	// The iterate is in flux until this batch completes; a failed Run must
 	// not seed the next one.
 	ws.warmOK = false
-	pilot := -1
 	if warm {
 		// Continuation across batches (BatchOptions.WarmStart): every lane
-		// starts from the previous batch's last converged solution.
+		// starts from the previous batch's last converged solution, its
+		// unvisited stations zeroed (their update is identically zero;
+		// zeroing keeps the first residence times sane).
 		for i := 0; i < n; i++ {
 			v := ws.warmQ[i]
 			row := ws.q[i*B : (i+1)*B]
+			ev := ws.e[i*B : (i+1)*B]
 			for b := range row {
 				row[b] = v
+				if ev[b] == 0 {
+					row[b] = 0
+				}
 			}
 		}
 	} else {
-		// Cold entry: pilot-solve the first healthy lane alone, then cascade
-		// its converged solution into every other lane as the seed. Should
-		// the pilot itself fail, the next healthy lane takes over.
-		for p := 0; p < B; p++ {
-			if ws.errs[p] != nil {
-				continue
-			}
-			ws.seedUniform(p)
-			ws.pilotSolve(p, tol, maxIter)
-			if ws.errs[p] == nil {
-				pilot = p
-				break
-			}
-		}
-		if pilot < 0 {
-			return // every lane is already resolved (all failed)
-		}
-		for i := 0; i < n; i++ {
-			row := ws.q[i*B : (i+1)*B]
-			v := row[pilot]
-			for b := range row {
-				row[b] = v
-			}
-		}
-	}
-	// A lane's unvisited stations must read as zero regardless of the seed
-	// (their update is identically zero; zeroing keeps the first residence
-	// times sane).
-	for i := 0; i < n; i++ {
-		row := ws.q[i*B : (i+1)*B]
-		ev := ws.e[i*B : (i+1)*B]
-		for b := range row {
-			if ev[b] == 0 {
-				row[b] = 0
+		// Cold entry: every lane starts from its own uniform spread, so its
+		// answer depends on nothing but its own inputs.
+		for b := 0; b < B; b++ {
+			if ws.errs[b] == nil {
+				ws.seedUniform(b)
 			}
 		}
 	}
 
-	// Pack the lanes that still need iterating into the leading columns: the
-	// pilot (if any) is already converged and admission-failed lanes are
-	// resolved, so both retire to the tail before the wide loops start.
+	// Pack the lanes that still need iterating into the leading columns:
+	// admission-failed lanes are resolved, so they retire to the tail before
+	// the wide loops start.
 	live := B
 	for c := 0; c < live; {
-		if b := ws.lane[c]; ws.errs[b] != nil || b == pilot {
+		if ws.errs[ws.lane[c]] != nil {
 			live = ws.retire(c, live)
 			continue
 		}
@@ -459,56 +431,6 @@ func cycleErr(b, iters int, cycle, tol float64) error {
 		return fmt.Errorf("mva: batch lane %d: degenerate zero total demand", b)
 	}
 	return overflowError(iters, tol)
-}
-
-// pilotSolve iterates a single lane to convergence with strided scalar
-// loops. Running the B-wide lockstep loops with one live lane would cost
-// B× the work of the lane actually iterating, so the cold pilot gets its own
-// narrow path; the main loop then starts with every remaining lane seeded.
-func (ws *BatchWorkspace) pilotSolve(b int, tol float64, maxIter int) {
-	B, n := ws.lanes, ws.stations
-	pop := ws.pop[b]
-	inv := ws.invPop[b]
-	lastDelta := math.Inf(1)
-	for iter := 1; iter <= maxIter; iter++ {
-		for g := 0; g < ws.groups; g++ {
-			ws.groupTot[g*B+b] = 0
-		}
-		for i := 0; i < n; i++ {
-			at := i*B + b
-			ws.groupTot[ws.group[i]*B+b] += ws.mult[at] * ws.q[at]
-		}
-		var cycle float64
-		for i := 0; i < n; i++ {
-			at := i*B + b
-			seen := ws.groupTot[ws.group[i]*B+b] - ws.q[at]*inv
-			wv := ws.a[at]*seen + ws.s[at]
-			ws.w[at] = wv
-			cycle += ws.em[at] * wv
-		}
-		if !(cycle > 0) || math.IsInf(cycle, 0) {
-			ws.errs[b] = cycleErr(b, ws.iters[b], cycle, tol)
-			ws.lambda[b] = 0
-			return
-		}
-		lambda := pop / cycle
-		ws.lambda[b] = lambda
-		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			at := i*B + b
-			nNew := lambda * ws.e[at] * ws.w[at]
-			if d := math.Abs(nNew - ws.q[at]); d > maxDelta {
-				maxDelta = d
-			}
-			ws.q[at] = nNew
-		}
-		ws.iters[b]++
-		lastDelta = maxDelta
-		if maxDelta < tol {
-			return
-		}
-	}
-	ws.errs[b] = &NonConvergenceError{Iterations: ws.iters[b], MaxDelta: lastDelta, Tolerance: tol}
 }
 
 // iterate runs the lockstep fixed-point loop over the packed live columns

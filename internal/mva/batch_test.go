@@ -182,10 +182,41 @@ func TestBatchColdRunIgnoresHistory(t *testing.T) {
 	}
 }
 
+// TestBatchColdLanesIndependent: a cold lane's answer depends on nothing but
+// its own inputs, so a B-lane cold Run matches B one-lane cold Runs bit for
+// bit, iteration counts included.
+func TestBatchColdLanesIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const B, n = 24, 5
+	lanes := make([]batchLane, B)
+	for b := range lanes {
+		lanes[b] = randomBatchLane(rng, n)
+	}
+	var wide, solo BatchWorkspace
+	fillBatch(&wide, lanes)
+	wide.Run(BatchOptions{})
+	for b, l := range lanes {
+		fillBatch(&solo, []batchLane{l})
+		solo.Run(BatchOptions{})
+		if wide.Err(b) != nil || solo.Err(0) != nil {
+			t.Fatalf("lane %d: batch err %v, solo err %v", b, wide.Err(b), solo.Err(0))
+		}
+		if wide.Iterations(b) != solo.Iterations(0) || wide.Lambda(b) != solo.Lambda(0) {
+			t.Errorf("lane %d: batch (%d iters, λ=%v), solo (%d iters, λ=%v)",
+				b, wide.Iterations(b), wide.Lambda(b), solo.Iterations(0), solo.Lambda(0))
+		}
+		for i := 0; i < n; i++ {
+			if wide.Residence(i, b) != solo.Residence(i, 0) {
+				t.Errorf("lane %d station %d: batch w=%v solo w=%v", b, i, wide.Residence(i, b), solo.Residence(i, 0))
+			}
+		}
+	}
+}
+
 // TestBatchLaneFailureIsolation plants two broken lanes — an invalid
-// population and a zero-demand lane that happens to be the would-be pilot —
-// between healthy ones: the bad lanes fail positionally, the healthy lanes
-// still match the scalar solver.
+// population and a zero-demand lane in the first column — between healthy
+// ones: the bad lanes fail positionally, the healthy lanes still match the
+// scalar solver.
 func TestBatchLaneFailureIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const B, n = 5, 4
@@ -193,7 +224,8 @@ func TestBatchLaneFailureIsolation(t *testing.T) {
 	for b := range lanes {
 		lanes[b] = randomBatchLane(rng, n)
 	}
-	// Lane 0 has no demand at all: the pilot must fail over to lane 1.
+	// Lane 0 has no demand at all: it fails on its first sweep, inside the
+	// lockstep loop, while its neighbors keep iterating.
 	for i := range lanes[0].visits {
 		lanes[0].visits[i] = 0
 	}

@@ -243,88 +243,10 @@ func TestAMVAZeroServiceStation(t *testing.T) {
 	}
 }
 
-func TestAMVADamping(t *testing.T) {
-	net := twoClassNet()
-	plain, err := ApproxMultiClass(net, AMVAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	damped, err := ApproxMultiClass(net, AMVAOptions{Damping: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range net.Classes {
-		if math.Abs(plain.Throughput[c]-damped.Throughput[c]) > 1e-6 {
-			t.Errorf("class %d: damped fixed point differs: %v vs %v", c, plain.Throughput[c], damped.Throughput[c])
-		}
-	}
-}
-
-func TestAMVARejectsInvalidDamping(t *testing.T) {
-	// Regression: Damping >= 1 used to freeze the iterate — every blended
-	// update equalled the previous value, so maxDelta was 0 on iteration 1
-	// and the solver "converged" instantly, silently returning the uniform
-	// initial spread as the answer. Negative damping extrapolates instead
-	// of damping. Both are now rejected up front.
-	net := twoClassNet()
-	for _, d := range []float64{1, 1.5, -0.25} {
-		if _, err := ApproxMultiClass(net, AMVAOptions{Damping: d}); err == nil {
-			t.Errorf("Damping = %g accepted; want error", d)
-		}
-	}
-	// Near the upper boundary the damped fixed point still matches the
-	// undamped one — the invalid range starts exactly at 1.
-	plain, err := ApproxMultiClass(net, AMVAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy, err := ApproxMultiClass(net, AMVAOptions{Damping: 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range net.Classes {
-		if math.Abs(plain.Throughput[c]-heavy.Throughput[c]) > 1e-6 {
-			t.Errorf("class %d: Damping=0.95 fixed point %v differs from plain %v",
-				c, heavy.Throughput[c], plain.Throughput[c])
-		}
-	}
-}
-
 func TestAMVAIterationLimit(t *testing.T) {
 	net := twoClassNet()
 	if _, err := ApproxMultiClass(net, AMVAOptions{MaxIterations: 1}); err == nil {
 		t.Error("want non-convergence error")
-	}
-}
-
-func TestSolvePicksExactForSmall(t *testing.T) {
-	net := twoClassNet()
-	r, err := Solve(net, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := ExactMultiClass(net, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Throughput[0]-exact.Throughput[0]) > 1e-12 {
-		t.Error("Solve did not use exact MVA for a small lattice")
-	}
-	if r.Iterations != 0 {
-		t.Errorf("exact result reports %d iterations", r.Iterations)
-	}
-}
-
-func TestSolvePicksApproxForLarge(t *testing.T) {
-	net := twoClassNet()
-	net.Classes[0].Population = 400
-	net.Classes[1].Population = 400
-	r, err := Solve(net, 1<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Iterations == 0 {
-		t.Error("Solve did not use AMVA for a large lattice")
 	}
 }
 

@@ -45,7 +45,7 @@ type Workspace struct {
 	warmNC int
 	warmNM int
 
-	// Acceleration scratch (iterateAccel): g is the evaluated map G(x),
+	// Fixed-point scratch (iterate): g is the evaluated map G(x),
 	// upper the per-component feasibility bounds, accel the scheme state.
 	g     []float64
 	upper []float64

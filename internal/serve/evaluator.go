@@ -680,6 +680,9 @@ func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, er
 	if err != nil {
 		return nil, err
 	}
+	if err := refuseInertParam(cfg, knob, "serve.SweepRequest", "param"); err != nil {
+		return nil, err
+	}
 	// The base configuration is validated per point, after the knob is
 	// applied: the base value of the swept field is irrelevant (it is
 	// overwritten), and an out-of-range swept value is reported against the

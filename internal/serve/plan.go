@@ -10,6 +10,17 @@ import (
 	"lattol/internal/validate"
 )
 
+// refuseInertParam is the one rule for a parameter that has no effect on the
+// model: psw under the uniform pattern. Choosing it as a sweep parameter,
+// plan knob or frontier parameter is a 400 naming the wire field that chose
+// it, since every point would solve the same system.
+func refuseInertParam(cfg mms.Config, p mms.Param, typ, field string) error {
+	if cfg.Uniform && p.String() == "psw" {
+		return validate.Fieldf(typ, field, "= psw under the uniform pattern; psw has no effect there")
+	}
+	return nil
+}
+
 // planSpec canonicalizes the request into an inverse.Spec. Validation
 // errors are field-named against the wire fields.
 func planSpec(r *PlanRequest) (inverse.Spec, error) {
@@ -31,9 +42,8 @@ func planSpec(r *PlanRequest) (inverse.Spec, error) {
 		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "knob", "= %q, want one of %s",
 			r.Knob, strings.Join(mms.ParamNames(), ", "))
 	}
-	if cfg.Uniform && knob.String() == "psw" {
-		return inverse.Spec{}, validate.Fieldf("serve.PlanRequest", "knob",
-			"= psw under the uniform pattern; psw has no effect there")
+	if err := refuseInertParam(cfg, knob, "serve.PlanRequest", "knob"); err != nil {
+		return inverse.Spec{}, err
 	}
 	metric, err := inverse.ParseMetric(r.Metric)
 	if err != nil {
@@ -99,9 +109,8 @@ func frontierSpec(r *PlanRequest) (inverse.FrontierSpec, error) {
 				"= %v, want <= %v for param %s (the model-size cap)", f.To, c, sweep)
 		}
 	}
-	if sp.Base.Uniform && sweep.String() == "psw" {
-		return inverse.FrontierSpec{}, validate.Fieldf("serve.PlanRequest", "frontier.param",
-			"= psw under the uniform pattern; psw has no effect there")
+	if err := refuseInertParam(sp.Base, sweep, "serve.PlanRequest", "frontier.param"); err != nil {
+		return inverse.FrontierSpec{}, err
 	}
 	return fs, nil
 }

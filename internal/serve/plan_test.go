@@ -114,6 +114,8 @@ func TestServerPlanValidation400s(t *testing.T) {
 		{"frontier zero steps", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"premote","from":0.1,"to":0.2,"steps":0}`, 1), "frontier.steps"},
 		{"knob_max past the k cap", strings.Replace(planBody, `"knob":"nt"`, `"knob":"k","knob_min":2,"knob_max":20`, 1), "knob_max"},
 		{"frontier past the k cap", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"frontier":{"param":"k","from":2,"to":32,"steps":2}`, 1), "frontier.to"},
+		{"psw knob under the uniform pattern", strings.Replace(planBody, `"knob":"nt"`, `"pattern":"uniform","knob":"psw"`, 1), "knob"},
+		{"psw frontier under the uniform pattern", strings.Replace(planBody, `"target":0.95`, `"target":0.95,"pattern":"uniform","frontier":{"param":"psw","from":0.1,"to":0.9,"steps":2}`, 1), "frontier.param"},
 		{"frontier past the threads cap", strings.Replace(planBody, `"knob":"nt"`, `"knob":"r","frontier":{"param":"nt","from":20000,"to":8,"steps":2}`, 1), "frontier.from"},
 	}
 	for _, tc := range cases {

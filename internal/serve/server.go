@@ -50,7 +50,6 @@ var goToWireField = map[string]string{
 	"Solver":        "solver",
 	"MaxError":      "max_error",
 	"Tolerance":     "tolerance",
-	"Damping":       "damping",
 	// inverse.Spec / inverse.FrontierSpec fields → PlanRequest wire names.
 	"Knob":      "knob",
 	"Metric":    "metric",

@@ -148,6 +148,7 @@ func TestServerGolden400s(t *testing.T) {
 		{"zero sweep steps", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"param":"nt","from":1,"to":2,"steps":0}`, "steps"},
 		{"k over the size cap", "/v1/solve", `{"k":17,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5}`, "k"},
 		{"threads over the size cap", "/v1/tolerance", `{"k":4,"threads":16385,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5}`, "threads"},
+		{"psw sweep under the uniform pattern", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"pattern":"uniform","param":"psw","from":0.1,"to":0.9,"steps":3}`, "param"},
 		{"sweep past the k cap", "/v1/sweep", `{"k":4,"threads":8,"runlength":10,"memory_time":10,"switch_time":10,"p_remote":0.2,"psw":0.5,"param":"k","from":8,"to":24,"steps":3}`, "k"},
 	}
 	for _, tc := range cases {
