@@ -27,7 +27,7 @@ func main() {
 	t := report.NewTable(
 		"Hot-spot traffic toward memory 0 (4x4 torus, n_t=8, R=10, p_remote=0.4)",
 		"hot fraction", "min U_p", "mean U_p", "max U_p", "hot mem util")
-	var last mms.HotSpotMetrics
+	var last mms.PEMetrics
 	for _, f := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		h, err := mms.BuildHotSpot(cfg, 0, f)
 		if err != nil {
@@ -43,7 +43,7 @@ func main() {
 			report.Float(met.MinUp, 3),
 			report.Float(met.MeanUp, 3),
 			report.Float(met.MaxUp, 3),
-			report.Float(met.HotMemUtilization, 3),
+			report.Float(met.MemUtilization[0], 3),
 		)
 	}
 	fmt.Print(t.String())

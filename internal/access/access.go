@@ -132,9 +132,6 @@ func (g *Geometric) Name() string {
 	return fmt.Sprintf("geometric(p_sw=%g, %s)", g.psw, g.mode)
 }
 
-// Psw returns the locality parameter.
-func (g *Geometric) Psw() float64 { return g.psw }
-
 // Uniform targets each of the P-1 remote modules with equal probability.
 type Uniform struct {
 	torus *topology.Torus

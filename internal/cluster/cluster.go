@@ -99,9 +99,6 @@ func (c *Cluster) Self() string { return c.self }
 // Ring returns the current ring (immutable snapshot).
 func (c *Cluster) Ring() *Ring { return c.ring.Load() }
 
-// Members returns the current membership, sorted.
-func (c *Cluster) Members() []string { return c.ring.Load().Members() }
-
 // Size returns the current member count.
 func (c *Cluster) Size() int { return c.ring.Load().Size() }
 

@@ -89,15 +89,6 @@ func (tc *TestCluster) Close() {
 	}
 }
 
-// URLs returns the nodes' base URLs in boot order.
-func (tc *TestCluster) URLs() []string {
-	out := make([]string, len(tc.Nodes))
-	for i, node := range tc.Nodes {
-		out[i] = node.URL
-	}
-	return out
-}
-
 // ScrapeCounter reads one plaintext counter (exact line prefix match,
 // including any label set) from a node's /metrics.
 func ScrapeCounter(url, name string) (uint64, error) {

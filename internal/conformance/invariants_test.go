@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lattol/internal/mva"
 	"lattol/internal/queueing"
 	"lattol/internal/tolerance"
+	"lattol/internal/topology"
 )
 
 // testNetwork is a small contended network with a delay station and a
@@ -365,5 +367,72 @@ func TestCheckAMVAVsExact(t *testing.T) {
 	}
 	if !strings.Contains(v.Detail, "rel") {
 		t.Errorf("divergence detail missing relative error: %v", v)
+	}
+}
+
+// TestCheckResultOnPerPENetworks runs the solver-output invariants on the
+// asymmetric networks of the extension exhibits (hot spot, mesh, load
+// imbalance with idle PEs), solved by AMVA at Solve's defaults, and reads
+// each model's Solve against that result: mean U_p is the mean of
+// λ_c·(R+C), and memory module j's utilization is the total utilization of
+// its station (P + j in the role-major layout; one port).
+func TestCheckResultOnPerPENetworks(t *testing.T) {
+	type model struct {
+		name string
+		m    *mms.PEModel
+	}
+	var models []model
+	add := func(name string, m *mms.PEModel, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		models = append(models, model{name, m})
+	}
+	cfg := mms.DefaultConfig()
+	cfg.PRemote = 0.4
+	for _, f := range []float64{0, 0.3, 0.5} {
+		m, err := mms.BuildHotSpot(cfg, 0, f)
+		add(fmt.Sprintf("hotspot f=%g", f), m, err)
+	}
+	for _, k := range []int{3, 4} {
+		m, err := mms.BuildOnTopology(cfg, topology.MustMesh(k))
+		add(fmt.Sprintf("mesh k=%d", k), m, err)
+	}
+	cfg = mms.DefaultConfig()
+	for _, spread := range []int{2, 8} {
+		threads, err := mms.Imbalance(topology.MustTorus(cfg.K), 16*cfg.Threads, spread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := mms.BuildHeterogeneous(cfg, threads)
+		add(fmt.Sprintf("imbalance spread=%d", spread), m, err)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	for _, tc := range models {
+		net := tc.m.Network()
+		res, err := mva.ApproxMultiClass(net, mva.AMVAOptions{Tolerance: 1e-10, MaxIterations: mms.DefaultMaxIterations})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := CheckResult(net, res, Bands{}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		met, err := tc.m.Solve(mms.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p := len(net.Classes)
+		var up float64
+		for c := range net.Classes {
+			up += res.Throughput[c] * net.Stations[c].ServiceTime
+		}
+		if up /= float64(p); !near(met.MeanUp, up) {
+			t.Errorf("%s: mean U_p %v, network λ·(R+C) %v", tc.name, met.MeanUp, up)
+		}
+		for j, u := range met.MemUtilization {
+			if want := res.TotalUtilization(net, p+j); !near(u, want) {
+				t.Errorf("%s: memory %d utilization %v, network %v", tc.name, j, u, want)
+			}
+		}
 	}
 }

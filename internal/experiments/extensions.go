@@ -212,16 +212,6 @@ func ExtensionLocalPriority(opts ValidationOptions) (*PriorityData, error) {
 	return &PriorityData{Rows: rows}, nil
 }
 
-// Up returns the measured U_p for a variant.
-func (d *PriorityData) Up(ideal, priority bool) float64 {
-	for _, r := range d.Rows {
-		if r.IdealNetwork == ideal && r.Priority == priority {
-			return r.Up
-		}
-	}
-	return 0
-}
-
 // LObsLocalAt returns the local-access memory residence for a variant.
 func (d *PriorityData) LObsLocalAt(ideal, priority bool) float64 {
 	for _, r := range d.Rows {
@@ -418,7 +408,7 @@ func ExtensionHotSpot() (*HotSpotData, error) {
 		}
 		out.Rows = append(out.Rows, HotSpotRow{
 			Fraction: f, MinUp: met.MinUp, MeanUp: met.MeanUp, MaxUp: met.MaxUp,
-			HotMemUtil: met.HotMemUtilization,
+			HotMemUtil: met.MemUtilization[0],
 		})
 	}
 	return out, nil

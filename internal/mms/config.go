@@ -181,3 +181,27 @@ func (c Config) pattern(t *topology.Torus) (access.Pattern, error) {
 // processorService returns the mean processor service time per thread
 // activation (R + C).
 func (c Config) processorService() float64 { return c.Runlength + c.ContextSwitch }
+
+// serviceTime returns the mean service time of a station role.
+func (c Config) serviceTime(role StationRole) float64 {
+	switch role {
+	case Processor:
+		return c.processorService()
+	case Memory:
+		return c.MemoryTime
+	default:
+		return c.SwitchTime
+	}
+}
+
+// serverCount returns the number of parallel servers of a station role.
+func (c Config) serverCount(role StationRole) int {
+	switch role {
+	case Memory:
+		return c.memoryPorts()
+	case Outbound, Inbound:
+		return c.switchPorts()
+	default:
+		return 1
+	}
+}

@@ -44,7 +44,8 @@ func checkElaboration(t *testing.T, label string, m *Model, cfg Config) {
 		q = func(dst topology.Node) float64 { return pat.Prob(0, dst) }
 		dAvg = pat.MeanDistance()
 	}
-	mem, out, in := visitsFrom(torus, 0, cfg.PRemote, q)
+	v, n := visitsFrom(torus, 0, cfg.PRemote, q), torus.Nodes()
+	mem, out, in := v[n:2*n], v[2*n:3*n], v[3*n:]
 	for r, want := range [3][]float64{mem, out, in} {
 		got := [3][]float64{m.visitMem, m.visitOut, m.visitIn}[r]
 		if !sameFloats(got, want) {

@@ -34,7 +34,7 @@ func ExampleBuildHotSpot() {
 		panic(err)
 	}
 	fmt.Printf("mean U_p = %.3f (balanced would be 0.598)\n", met.MeanUp)
-	fmt.Printf("hot module utilization = %.2f\n", met.HotMemUtilization)
+	fmt.Printf("hot module utilization = %.2f\n", met.MemUtilization[0])
 	// Output:
 	// mean U_p = 0.372 (balanced would be 0.598)
 	// hot module utilization = 0.95

@@ -3,8 +3,6 @@ package mms
 import (
 	"math"
 	"testing"
-
-	"lattol/internal/mva"
 )
 
 func TestMemoryPortsImproveUtilization(t *testing.T) {
@@ -109,136 +107,5 @@ func TestPortValidation(t *testing.T) {
 	cfg.SwitchPorts = -2
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative SwitchPorts should fail validation")
-	}
-}
-
-func TestHotSpotZeroFractionMatchesSymmetric(t *testing.T) {
-	cfg := DefaultConfig()
-	h, err := BuildHotSpot(cfg, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := h.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Solve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(met.MeanUp-base.Up) > 1e-6 {
-		t.Errorf("hot fraction 0: mean U_p %v != symmetric %v", met.MeanUp, base.Up)
-	}
-	if met.MaxUp-met.MinUp > 1e-6 {
-		t.Errorf("hot fraction 0 should be symmetric: spread %v", met.MaxUp-met.MinUp)
-	}
-}
-
-func TestHotSpotDegradesVictims(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PRemote = 0.4
-	h, err := BuildHotSpot(cfg, 0, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := h.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Solve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.MinUp >= base.Up {
-		t.Errorf("hot-spot min U_p %v not below symmetric %v", met.MinUp, base.Up)
-	}
-	if met.HotMemUtilization < 0.85 {
-		t.Errorf("hot module utilization %v, want near saturation", met.HotMemUtilization)
-	}
-	if met.MaxUp <= met.MinUp {
-		t.Error("expected per-PE spread under hot-spot traffic")
-	}
-}
-
-func TestHotSpotVisitConservation(t *testing.T) {
-	// Every class still issues exactly one memory access per cycle and the
-	// network visit identities hold per class.
-	cfg := DefaultConfig()
-	cfg.PRemote = 0.4
-	h, err := BuildHotSpot(cfg, 5, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := h.Network()
-	if err := net.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := mva.ApproxMultiClass(net, mva.AMVAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.CheckLittle(net, 1e-6); err != nil {
-		t.Error(err)
-	}
-	for c := range h.mem {
-		var sum float64
-		for _, v := range h.mem[c] {
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("class %d: Σem = %v, want 1", c, sum)
-		}
-	}
-}
-
-func TestHotSpotValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := BuildHotSpot(cfg, 0, -0.1); err == nil {
-		t.Error("negative fraction should fail")
-	}
-	if _, err := BuildHotSpot(cfg, 0, 1.1); err == nil {
-		t.Error("fraction > 1 should fail")
-	}
-	if _, err := BuildHotSpot(cfg, 99, 0.2); err == nil {
-		t.Error("out-of-range hot node should fail")
-	}
-	cfg.K = 0
-	if _, err := BuildHotSpot(cfg, 0, 0.2); err == nil {
-		t.Error("invalid config should fail")
-	}
-}
-
-func TestHotSpotZeroThreads(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Threads = 0
-	h, err := BuildHotSpot(cfg, 0, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := h.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.MeanUp != 0 {
-		t.Errorf("zero threads: %+v", met)
-	}
-}
-
-func TestHotSpotOwnNodeSuffersMost(t *testing.T) {
-	// The hot node's own threads queue behind the whole machine's hot
-	// traffic at their local memory, so the hot node holds the *lowest*
-	// U_p — even though its hot-fraction accesses avoid the network.
-	cfg := DefaultConfig()
-	cfg.PRemote = 0.4
-	h, err := BuildHotSpot(cfg, 3, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	met, err := h.Solve(SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.PerClassUp[3] > met.MinUp+1e-9 {
-		t.Errorf("hot node's own U_p %v is not the minimum %v", met.PerClassUp[3], met.MinUp)
 	}
 }

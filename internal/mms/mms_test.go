@@ -298,13 +298,6 @@ func TestUniformVsGeometricLargeSystem(t *testing.T) {
 	}
 }
 
-func TestThroughputHelper(t *testing.T) {
-	met := Metrics{Up: 0.5}
-	if got := met.Throughput(16); got != 8 {
-		t.Errorf("Throughput(16) = %v, want 8", got)
-	}
-}
-
 func TestContextSwitchOverheadLowersThroughput(t *testing.T) {
 	cfg := DefaultConfig()
 	base, err := Solve(cfg)

@@ -72,11 +72,7 @@ func Build(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	torus, err := topology.NewTorus(cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	pat, err := cfg.pattern(torus)
+	torus, pat, err := torusPattern(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -91,48 +87,15 @@ func Build(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// visitsFrom computes the per-cycle visit ratios of the class anchored at
-// `home`, indexed by absolute node: the thread accesses its local memory
-// with probability 1-p and the remote module dst with probability
-// p·q(dst); requests enter the network through outbound[home], traverse the
-// inbound switch of every node on the dimension-order route (destination
-// included), and responses return through outbound[dst] and the reverse
-// route. q must sum to 1 over dst ≠ home (it is ignored when p == 0). The
-// three vectors share one backing array, and every route is walked into one
-// reused buffer. TopoModel elaborates general networks with it; a torus
-// Model runs fillVisits, which adds in the same order.
-func visitsFrom(t topology.Network, home topology.Node, p float64, q func(topology.Node) float64) (mem, out, in []float64) {
-	n := t.Nodes()
-	vis := make([]float64, 3*n)
-	mem, out, in = vis[:n:n], vis[n:2*n:2*n], vis[2*n:]
-	mem[home] = 1 - p
-	if p == 0 || q == nil {
-		return mem, out, in
+// torusPattern resolves cfg's torus and access pattern (nil pattern when
+// remote accesses are impossible).
+func torusPattern(cfg Config) (*topology.Torus, access.Pattern, error) {
+	torus, err := topology.NewTorus(cfg.K)
+	if err != nil {
+		return nil, nil, err
 	}
-	out[home] = p
-	var buf [32]topology.Node // longer routes grow it once
-	route := buf[:0]
-	for j := 0; j < n; j++ {
-		dst := topology.Node(j)
-		if dst == home {
-			continue
-		}
-		em := p * q(dst)
-		mem[j] = em
-		out[j] += em
-		if em == 0 {
-			continue
-		}
-		route = t.AppendRoute(route[:0], home, dst)
-		for _, hop := range route {
-			in[hop] += em
-		}
-		route = t.AppendRoute(route[:0], dst, home)
-		for _, hop := range route {
-			in[hop] += em
-		}
-	}
-	return mem, out, in
+	pat, err := cfg.pattern(torus)
+	return torus, pat, err
 }
 
 // Config returns the configuration the model was built from.
@@ -192,38 +155,15 @@ func (m *Model) UnloadedNetworkLatency() float64 {
 	return (m.MeanDistance() + 1) * m.cfg.SwitchTime
 }
 
-// Stations per node: Processor, Memory, Outbound, Inbound — in this order,
-// grouped by role: station(role, node) = int(role)*P + node.
-func (m *Model) stationIndex(role StationRole, node topology.Node) int {
-	return int(role)*m.torus.Nodes() + int(node)
+// stationIndex numbers the 4P stations of a P-node machine grouped by role
+// in the order Processor, Memory, Outbound, Inbound:
+// station(role, node) = int(role)*P + node.
+func stationIndex(p int, role StationRole, node topology.Node) int {
+	return int(role)*p + int(node)
 }
 
 // StationCount returns the total number of stations (4 per PE).
 func (m *Model) StationCount() int { return 4 * m.torus.Nodes() }
-
-// serviceTime returns the mean service time of a station role.
-func (m *Model) serviceTime(role StationRole) float64 {
-	switch role {
-	case Processor:
-		return m.cfg.processorService()
-	case Memory:
-		return m.cfg.MemoryTime
-	default:
-		return m.cfg.SwitchTime
-	}
-}
-
-// serverCount returns the number of parallel servers of a station role.
-func (m *Model) serverCount(role StationRole) int {
-	switch role {
-	case Memory:
-		return m.cfg.memoryPorts()
-	case Outbound, Inbound:
-		return m.cfg.switchPorts()
-	default:
-		return 1
-	}
-}
 
 // ClassVisits returns the visit-ratio vector of the class anchored at PE
 // `home` over all 4P stations, by torus translation of the class-0 ratios.
@@ -231,13 +171,13 @@ func (m *Model) ClassVisits(home topology.Node) []float64 {
 	n := m.torus.Nodes()
 	v := make([]float64, m.StationCount())
 	hx, hy := m.torus.Coord(home)
-	v[m.stationIndex(Processor, home)] = 1
+	v[stationIndex(n, Processor, home)] = 1
 	for j := 0; j < n; j++ {
 		jx, jy := m.torus.Coord(topology.Node(j))
 		dst := m.torus.NodeAt(jx+hx, jy+hy)
-		v[m.stationIndex(Memory, dst)] = m.visitMem[j]
-		v[m.stationIndex(Outbound, dst)] = m.visitOut[j]
-		v[m.stationIndex(Inbound, dst)] = m.visitIn[j]
+		v[stationIndex(n, Memory, dst)] = m.visitMem[j]
+		v[stationIndex(n, Outbound, dst)] = m.visitOut[j]
+		v[stationIndex(n, Inbound, dst)] = m.visitIn[j]
 	}
 	return v
 }
@@ -245,27 +185,33 @@ func (m *Model) ClassVisits(home topology.Node) []float64 {
 // Network builds the full multiclass closed queueing network: one class per
 // PE with population n_t, 4P FCFS stations.
 func (m *Model) Network() *queueing.Network {
-	nNodes := m.torus.Nodes()
+	return newNetwork(m.cfg, m.torus.Nodes(), func(c int) (int, []float64) {
+		return m.cfg.Threads, m.ClassVisits(topology.Node(c))
+	})
+}
+
+// newNetwork lays out the closed network of cfg's machine on p nodes: 4P
+// FCFS stations numbered by stationIndex, and one class per PE, named
+// "pe<c>", whose population and visit vector over the 4P stations class(c)
+// returns. Model and PEModel assemble their networks with it.
+func newNetwork(cfg Config, p int, class func(c int) (int, []float64)) *queueing.Network {
 	net := &queueing.Network{
-		Stations: make([]queueing.Station, m.StationCount()),
-		Classes:  make([]queueing.Class, nNodes),
+		Stations: make([]queueing.Station, 4*p),
+		Classes:  make([]queueing.Class, p),
 	}
 	for _, role := range []StationRole{Processor, Memory, Outbound, Inbound} {
-		for j := 0; j < nNodes; j++ {
-			net.Stations[m.stationIndex(role, topology.Node(j))] = queueing.Station{
+		for j := 0; j < p; j++ {
+			net.Stations[stationIndex(p, role, topology.Node(j))] = queueing.Station{
 				Name:        fmt.Sprintf("%s[%d]", role, j),
 				Kind:        queueing.FCFS,
-				ServiceTime: m.serviceTime(role),
-				Servers:     m.serverCount(role),
+				ServiceTime: cfg.serviceTime(role),
+				Servers:     cfg.serverCount(role),
 			}
 		}
 	}
-	for j := 0; j < nNodes; j++ {
-		net.Classes[j] = queueing.Class{
-			Name:       fmt.Sprintf("pe%d", j),
-			Population: m.cfg.Threads,
-			Visits:     m.ClassVisits(topology.Node(j)),
-		}
+	for c := range net.Classes {
+		pop, visits := class(c)
+		net.Classes[c] = queueing.Class{Name: fmt.Sprintf("pe%d", c), Population: pop, Visits: visits}
 	}
 	return net
 }
@@ -273,9 +219,7 @@ func (m *Model) Network() *queueing.Network {
 // network returns a lazily built network shared by every solve of this
 // model, so repeated full/exact solves (sweeps, the conformance harness)
 // do not rebuild stations and visit vectors per call. The cached network is
-// strictly read-only: callers that modify the returned value (e.g.
-// HeteroModel overwriting populations) must use Network(), which always
-// builds a fresh one.
+// strictly read-only; Network() builds a fresh one a caller may modify.
 func (m *Model) network() *queueing.Network {
 	m.netOnce.Do(func() { m.net = m.Network() })
 	return m.net

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lattol/internal/mva"
+	"lattol/internal/queueing"
 	"lattol/internal/topology"
 	"lattol/internal/validate"
 )
@@ -64,10 +65,11 @@ type SolveOptions struct {
 	Solver        Solver
 	Tolerance     float64 // convergence threshold on queue lengths (default 1e-10)
 	MaxIterations int     // default 200000
-	// Accel selects a fixed-point acceleration scheme for FullAMVA and the
-	// heterogeneous solver. Same fixed point, fewer iterations; see
-	// mva.Accel. SymmetricAMVA ignores it: the batch kernel always runs its
-	// own guarded Aitken extrapolation (see mva.BatchWorkspace).
+	// Accel selects a fixed-point acceleration scheme for the full
+	// multiclass AMVA: Model's FullAMVA and every PEModel AMVA solve. Same
+	// fixed point, fewer iterations; see mva.Accel. Model's SymmetricAMVA
+	// ignores it: the batch kernel always runs its own guarded Aitken
+	// extrapolation (see mva.BatchWorkspace).
 	Accel mva.Accel
 	// WarmStart seeds the AMVA iterate from the workspace's previous
 	// converged solution when the network shape matches (ignored by
@@ -149,10 +151,6 @@ type Metrics struct {
 	Iterations int
 }
 
-// Throughput returns the system throughput P·U_p (paper Figure 10a plots
-// this against P).
-func (m Metrics) Throughput(p int) float64 { return float64(p) * m.Up }
-
 // Solve builds the model for cfg and solves it with default options.
 func Solve(cfg Config) (Metrics, error) {
 	model, err := Build(cfg)
@@ -192,19 +190,7 @@ func (m *Model) Solve(opts SolveOptions) (Metrics, error) {
 // solveFull solves the complete multiclass network and reads class 0's
 // measures off the result.
 func (m *Model) solveFull(opts SolveOptions, ws *Workspace) (Metrics, error) {
-	net := m.network()
-	var res *mva.Result
-	var err error
-	if opts.Solver == ExactMVA {
-		res, err = ws.mvaWS.ExactMultiClass(net, 0)
-	} else {
-		res, err = ws.mvaWS.ApproxMultiClass(net, mva.AMVAOptions{
-			Tolerance:     opts.Tolerance,
-			MaxIterations: opts.MaxIterations,
-			Accel:         opts.Accel,
-			WarmStart:     opts.WarmStart,
-		})
-	}
+	res, err := solveNetwork(m.network(), opts, ws)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -212,13 +198,28 @@ func (m *Model) solveFull(opts SolveOptions, ws *Workspace) (Metrics, error) {
 	var lObs, sObsSum float64
 	for j := 0; j < nNodes; j++ {
 		node := topology.Node(j)
-		lObs += m.visitMem[j] * res.Wait[0][m.stationIndex(Memory, node)]
-		sObsSum += m.visitOut[j]*res.Wait[0][m.stationIndex(Outbound, node)] +
-			m.visitIn[j]*res.Wait[0][m.stationIndex(Inbound, node)]
+		lObs += m.visitMem[j] * res.Wait[0][stationIndex(nNodes, Memory, node)]
+		sObsSum += m.visitOut[j]*res.Wait[0][stationIndex(nNodes, Outbound, node)] +
+			m.visitIn[j]*res.Wait[0][stationIndex(nNodes, Inbound, node)]
 	}
 	met := m.assembleMetrics(res.Throughput[0], lObs, sObsSum)
 	met.Iterations = res.Iterations
 	return met, nil
+}
+
+// solveNetwork runs the multiclass solve opts selects on net: the exact
+// recursion for ExactMVA, the full Bard–Schweitzer AMVA otherwise. The
+// result aliases ws.
+func solveNetwork(net *queueing.Network, opts SolveOptions, ws *Workspace) (*mva.Result, error) {
+	if opts.Solver == ExactMVA {
+		return ws.mvaWS.ExactMultiClass(net, 0)
+	}
+	return ws.mvaWS.ApproxMultiClass(net, mva.AMVAOptions{
+		Tolerance:     opts.Tolerance,
+		MaxIterations: opts.MaxIterations,
+		Accel:         opts.Accel,
+		WarmStart:     opts.WarmStart,
+	})
 }
 
 // assembleMetrics builds the paper's measures from class-0 throughput λ and

@@ -159,8 +159,6 @@ type place struct {
 	consumers []TransitionID
 	// Wait accumulates token waiting times in this place.
 	wait stats.Mean
-	// marking tracks the time-average token count.
-	marking stats.TimeWeighted
 }
 
 type transition struct {
@@ -210,7 +208,6 @@ func (n *Net) AddPlace(name string) PlaceID {
 		panic("petri: AddPlace after Run")
 	}
 	p := &place{name: name}
-	p.marking.Set(n.engine.Now(), 0)
 	n.places = append(n.places, p)
 	return PlaceID(len(n.places) - 1)
 }
@@ -260,7 +257,6 @@ func (n *Net) Put(p PlaceID, data interface{}) {
 func (n *Net) deposit(pid PlaceID, data interface{}) {
 	p := n.places[pid]
 	p.fifo.push(Token{Data: data, Deposited: n.engine.Now()})
-	p.marking.Set(n.engine.Now(), float64(p.fifo.len()))
 	for _, tid := range p.consumers {
 		if n.tryStart(tid) {
 			break
@@ -318,7 +314,6 @@ func (n *Net) tryStart(tid TransitionID) bool {
 	for i, in := range t.def.Inputs {
 		p := n.places[in]
 		tok := p.fifo.pop()
-		p.marking.Set(now, float64(p.fifo.len()))
 		p.wait.Add(now - tok.Deposited)
 		rec.tokens[i] = tok
 	}
@@ -397,11 +392,6 @@ func (n *Net) MeanWait(p PlaceID) float64 { return n.places[p].wait.Mean() }
 // the last ResetStats.
 func (n *Net) WaitCount(p PlaceID) int64 { return n.places[p].wait.Count() }
 
-// MeanMarking returns the time-average token count of a place.
-func (n *Net) MeanMarking(p PlaceID) float64 {
-	return n.places[p].marking.MeanAt(n.engine.Now())
-}
-
 // Reset empties the net — pending engine events, tokens, in-flight firings,
 // and all statistics — and reseeds its random stream, keeping the structure
 // (places, transitions, compiled samplers) and every backing buffer. A Reset
@@ -413,8 +403,6 @@ func (n *Net) Reset(seed int64) {
 	for _, p := range n.places {
 		p.fifo.clear()
 		p.wait = stats.Mean{}
-		p.marking = stats.TimeWeighted{}
-		p.marking.Set(0, 0)
 	}
 	for _, t := range n.transitions {
 		// In-flight firing records are dropped with the engine's calendar;
@@ -436,7 +424,6 @@ func (n *Net) ResetStats() {
 	now := n.engine.Now()
 	for _, p := range n.places {
 		p.wait = stats.Mean{}
-		p.marking.Reset(now)
 	}
 	for _, t := range n.transitions {
 		t.busyTW.Reset(now)

@@ -40,7 +40,6 @@ type (
 	SweepRequest         = lattolclient.SweepRequest
 	BatchItemRequest     = lattolclient.BatchItemRequest
 	BatchRequest         = lattolclient.BatchRequest
-	PlanFrontierRequest  = lattolclient.PlanFrontierRequest
 	PlanRequest          = lattolclient.PlanRequest
 	MetricsBody          = lattolclient.MetricsBody
 	SolveResponse        = lattolclient.SolveResponse
