@@ -1,7 +1,11 @@
 // Command lattolplan answers the paper's inverse questions from the command
 // line: instead of "given this configuration, what is the performance?" it
 // solves "what knob value reaches this performance?" by bracketed root
-// finding over warm-started solves (package inverse).
+// finding over warm-started solves (package inverse). Each probe round is
+// one lockstep batch on eval.Solver, with the solve options lattold's
+// workers use, so a plan prints the answer POST /v1/plan gives on a fresh
+// single-worker lattold: the same knob, bracket, achieved value and probe
+// and solve counts.
 //
 // Usage:
 //

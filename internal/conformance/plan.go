@@ -52,7 +52,7 @@ func planMargin(spec inverse.Spec, v float64) float64 {
 func planForward(ctx context.Context, ev eval.Evaluator, spec inverse.Spec, knob float64) (float64, error) {
 	cfg := spec.Base
 	spec.Knob.Apply(&cfg, knob)
-	m, err := ev.Evaluate(ctx, eval.Config{Model: cfg, Solver: spec.Solver}, spec.Metric.Options())
+	m, err := eval.One(ctx, ev, eval.Config{Model: cfg, Solver: spec.Solver}, spec.Metric.Options())
 	if err != nil {
 		return 0, fmt.Errorf("forward solve at %s=%v: %w", spec.Knob, knob, err)
 	}

@@ -227,7 +227,7 @@ func serveSweeps(t *testing.T, e *serve.Evaluator, label string) {
 
 // compareIndex compares a served tolerance outcome with a direct one: the
 // index within 1e-9 relative and both systems' metrics via compareMetrics.
-func compareIndex(t *testing.T, label string, trial int, got serve.ToleranceOutcome, want tolerance.Index) {
+func compareIndex(t *testing.T, label string, trial int, got, want tolerance.Index) {
 	t.Helper()
 	if got.Subsystem != want.Subsystem || got.Mode != want.Mode {
 		t.Errorf("%s point %d: judged %v/%v, want %v/%v", label, trial, got.Subsystem, got.Mode, want.Subsystem, want.Mode)

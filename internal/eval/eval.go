@@ -1,15 +1,16 @@
-// Package eval defines the uniform model-evaluation abstraction: one
-// operating point in, one set of performance measures out, behind a single
-// Evaluator interface.
+// Package eval defines the uniform model-evaluation abstraction: operating
+// points in, performance measures out, positionally, behind a single
+// Evaluator interface with one method.
 //
-// Everything that can answer "what does the model do at this configuration?"
-// implements it — the in-process analytical solvers (Solver, with
-// warm-started continuation between calls), the serving layer's cached
-// evaluator (LRU → surrogate → worker pool), and the surrogate grid itself —
-// so higher layers compose them freely. The inverse (capacity-planning)
-// subsystem is the forcing function: a root-finder probes an Evaluator many
-// times and neither knows nor cares whether each probe is a fresh AMVA solve,
-// a cache hit, or a certified interpolation.
+// Everything that can answer "what does the model do at these
+// configurations?" implements it — the in-process analytical solvers
+// (Solver, one lockstep batch per call, warm-started from the previous
+// call), the serving layer's cached evaluator (LRU → surrogate → worker
+// pool), and the replicated simulators — so higher layers compose them
+// freely. The inverse (capacity-planning) subsystem is the forcing function:
+// a root-finder probes an Evaluator many times and neither knows nor cares
+// whether each probe is a fresh AMVA solve, a cache hit, or a replicated
+// estimate. One point is a one-config batch (One).
 package eval
 
 import (
@@ -62,25 +63,26 @@ type Metrics struct {
 	Bound float64
 }
 
-// Evaluator answers one operating point. Implementations must be safe for
-// the concurrency they document: Solver is single-goroutine, the serving
-// layer's evaluator is fully concurrent.
-type Evaluator interface {
-	Evaluate(ctx context.Context, cfg Config, opts Options) (Metrics, error)
-}
-
 // Outcome is the positional product of one batch element.
 type Outcome struct {
 	Metrics Metrics
 	Err     error
 }
 
-// BatchEvaluator evaluates many operating points in one call. Implementations
-// back it with the lockstep batch kernel (mms.SolveBatch over
-// mva.BatchWorkspace), so a frontier sweep's per-round probe fan-out costs
-// far less than len(cfgs) one-point solves. A failing element never affects its
-// neighbors; out must have len(cfgs).
-type BatchEvaluator interface {
-	Evaluator
+// Evaluator evaluates many operating points in one call. The analytical
+// implementations back it with the lockstep batch kernel (mms.SolveBatch
+// over mva.BatchWorkspace), so a frontier's per-round probe fan-out costs
+// far less than len(cfgs) one-point solves. A failing element never affects
+// its neighbors; out must have len(cfgs). Implementations must be safe for
+// the concurrency they document: Solver is single-goroutine, the serving
+// layer's evaluator is fully concurrent.
+type Evaluator interface {
 	EvaluateBatch(ctx context.Context, cfgs []Config, opts Options, out []Outcome)
+}
+
+// One evaluates a single operating point as a one-config batch.
+func One(ctx context.Context, ev Evaluator, cfg Config, opts Options) (Metrics, error) {
+	var out [1]Outcome
+	ev.EvaluateBatch(ctx, []Config{cfg}, opts, out[:])
+	return out[0].Metrics, out[0].Err
 }

@@ -9,7 +9,7 @@ import (
 	"lattol/internal/tolerance"
 )
 
-var _ BatchEvaluator = (*Solver)(nil)
+var _ Evaluator = (*Solver)(nil)
 
 func relErr(got, want float64) float64 {
 	if got == want {
@@ -44,7 +44,7 @@ func TestSolverMatchesDirectSolve(t *testing.T) {
 	s := NewSolver()
 	ctx := context.Background()
 	for _, cfg := range testConfigs() {
-		got, err := s.Evaluate(ctx, Config{Model: cfg}, Options{TolNetwork: true, TolMemory: true})
+		got, err := One(ctx, s, Config{Model: cfg}, Options{TolNetwork: true, TolMemory: true})
 		if err != nil {
 			t.Fatalf("Evaluate(%+v): %v", cfg, err)
 		}
@@ -74,77 +74,6 @@ func TestSolverMatchesDirectSolve(t *testing.T) {
 	}
 }
 
-// TestSolverIdealMemo verifies the ideal-system memo: probing along p_remote
-// under the ZeroRemote network ideal leaves the ideal configuration
-// unchanged, so only the first evaluation pays for it.
-func TestSolverIdealMemo(t *testing.T) {
-	s := NewSolver()
-	ctx := context.Background()
-	for i, p := range []float64{0.1, 0.2, 0.3, 0.4} {
-		cfg := mms.DefaultConfig()
-		cfg.PRemote = p
-		got, err := s.Evaluate(ctx, Config{Model: cfg}, Options{TolNetwork: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 1
-		if i == 0 {
-			want = 2
-		}
-		if got.Solves != want {
-			t.Errorf("p=%v: Solves = %d, want %d (ideal memoized after the first probe)", p, got.Solves, want)
-		}
-	}
-	// A thread-count change invalidates the memo: the ideal depends on n_t.
-	cfg := mms.DefaultConfig()
-	cfg.Threads = 4
-	got, err := s.Evaluate(ctx, Config{Model: cfg}, Options{TolNetwork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Solves != 2 {
-		t.Errorf("after n_t change: Solves = %d, want 2", got.Solves)
-	}
-}
-
-// TestEvaluateBatchMatchesScalar pins the lockstep batch path to the scalar
-// path at the corpus tolerance, including the tolerance indices.
-func TestEvaluateBatchMatchesScalar(t *testing.T) {
-	ctx := context.Background()
-	cfgs := make([]Config, 0, len(testConfigs()))
-	for _, cfg := range testConfigs() {
-		cfgs = append(cfgs, Config{Model: cfg})
-	}
-	opts := Options{TolNetwork: true, TolMemory: true}
-	out := make([]Outcome, len(cfgs))
-	NewSolver().EvaluateBatch(ctx, cfgs, opts, out)
-	scalar := NewSolver()
-	for i, cfg := range cfgs {
-		if out[i].Err != nil {
-			t.Fatalf("batch element %d: %v", i, out[i].Err)
-		}
-		want, err := scalar.Evaluate(ctx, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := out[i].Metrics
-		for _, f := range []struct {
-			name      string
-			got, want float64
-		}{
-			{"Up", got.Up, want.Up},
-			{"SObs", got.SObs, want.SObs},
-			{"LObs", got.LObs, want.LObs},
-			{"TolNetwork", got.TolNetwork, want.TolNetwork},
-			{"TolMemory", got.TolMemory, want.TolMemory},
-		} {
-			if relErr(f.got, f.want) > 1e-9 {
-				t.Errorf("element %d: %s batch %v, scalar %v", i, f.name, f.got, f.want)
-			}
-		}
-	}
-}
-
 // TestEvaluateBatchPositionalErrors verifies that one invalid element does
 // not poison its neighbors.
 func TestEvaluateBatchPositionalErrors(t *testing.T) {
@@ -169,9 +98,6 @@ func TestEvaluateBatchPositionalErrors(t *testing.T) {
 func TestEvaluateCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSolver().Evaluate(ctx, Config{Model: mms.DefaultConfig()}, Options{}); err == nil {
-		t.Fatal("Evaluate with canceled context succeeded")
-	}
 	out := make([]Outcome, 1)
 	NewSolver().EvaluateBatch(ctx, []Config{{Model: mms.DefaultConfig()}}, Options{}, out)
 	if out[0].Err == nil {

@@ -22,9 +22,11 @@
 //     point, so a whole root-find costs a few cold-solve equivalents; Result
 //     reports the probe and solve counts to keep that claim measurable.
 //
-// Frontier answers the two-knob version — re-solving the inverse problem at
-// every value of a second swept parameter — in lockstep rounds over a
-// BatchEvaluator, so each round of probes is one batch-kernel call.
+// Solve and Frontier share one driver: planners advance in lockstep rounds,
+// each round one EvaluateBatch call holding every unfinished planner's next
+// probe. Solve is that driver over one planner; Frontier answers the
+// two-knob version — re-solving the inverse problem at every value of a
+// second swept parameter — so each of its rounds is one batch-kernel call.
 package inverse
 
 import (

@@ -45,7 +45,7 @@ func mustMetric(t *testing.T, name string) Metric {
 // the planner.
 func forward(t *testing.T, spec Spec, knob float64) float64 {
 	t.Helper()
-	m, err := eval.NewSolver().Evaluate(context.Background(), spec.configAt(knob), spec.Metric.Options())
+	m, err := eval.One(context.Background(), eval.NewSolver(), spec.configAt(knob), spec.Metric.Options())
 	if err != nil {
 		t.Fatalf("forward solve at %s=%v: %v", spec.Knob, knob, err)
 	}
@@ -219,7 +219,7 @@ func TestSolveSeedEfficiency(t *testing.T) {
 	if res.Probes > 12 {
 		t.Errorf("Probes = %d, want <= 12 for the seeded default plan", res.Probes)
 	}
-	cold, err := eval.NewSolver().Evaluate(context.Background(), spec.configAt(float64(spec.Base.Threads)), spec.Metric.Options())
+	cold, err := eval.One(context.Background(), eval.NewSolver(), spec.configAt(float64(spec.Base.Threads)), spec.Metric.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSolveSeedEfficiency(t *testing.T) {
 	var planIters int
 	replay := eval.NewSolver()
 	for _, pr := range res.Trace {
-		m, err := replay.Evaluate(context.Background(), spec.configAt(pr.Knob), spec.Metric.Options())
+		m, err := eval.One(context.Background(), replay, spec.configAt(pr.Knob), spec.Metric.Options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func mustParamPanic(name string) mms.Param {
 }
 
 // TestFrontier maps "threads needed for tolerance >= 0.9 as p_remote grows"
-// and checks each point against an independent scalar solve plus the
+// and checks each point against an independent single-plan Solve plus the
 // paper-level expectation that the required thread count never falls as the
 // remote fraction rises.
 func TestFrontier(t *testing.T) {
@@ -304,44 +304,17 @@ func TestFrontier(t *testing.T) {
 		}
 		sp := fs.Spec
 		fs.Sweep.Apply(&sp.Base, pt.Sweep)
-		scalar, err := Solve(context.Background(), eval.NewSolver(), sp)
+		single, err := Solve(context.Background(), eval.NewSolver(), sp)
 		if err != nil {
-			t.Fatalf("scalar solve at %v: %v", pt.Sweep, err)
+			t.Fatalf("single plan at %v: %v", pt.Sweep, err)
 		}
-		if scalar.Knob != pt.Result.Knob {
-			t.Errorf("point %v: frontier %v != scalar %v", pt.Sweep, pt.Result.Knob, scalar.Knob)
+		if single.Knob != pt.Result.Knob {
+			t.Errorf("point %v: frontier %v != single plan %v", pt.Sweep, pt.Result.Knob, single.Knob)
 		}
 		if pt.Result.Knob < prev {
 			t.Errorf("frontier not monotone: nt(%v) = %v after %v", pt.Sweep, pt.Result.Knob, prev)
 		}
 		prev = pt.Result.Knob
-	}
-}
-
-// scalarOnly hides the batch fast path.
-type scalarOnly struct{ ev eval.Evaluator }
-
-func (s scalarOnly) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Options) (eval.Metrics, error) {
-	return s.ev.Evaluate(ctx, cfg, opts)
-}
-
-// TestFrontierScalarFallback verifies the non-batch path gives identical
-// answers.
-func TestFrontierScalarFallback(t *testing.T) {
-	fs := FrontierSpec{Spec: defaultSpec(), Sweep: mustParam(t, "premote"), From: 0.1, To: 0.3, Steps: 3}
-	fs.Target = 0.9
-	batch, err := Frontier(context.Background(), eval.NewSolver(), fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := Frontier(context.Background(), scalarOnly{eval.NewSolver()}, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if batch[i].Result.Knob != scalar[i].Result.Knob {
-			t.Errorf("point %d: batch %v != scalar %v", i, batch[i].Result.Knob, scalar[i].Result.Knob)
-		}
 	}
 }
 
@@ -432,7 +405,7 @@ func BenchmarkColdToleranceSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.NewSolver().Evaluate(ctx, cfg, opts); err != nil {
+		if _, err := eval.One(ctx, eval.NewSolver(), cfg, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

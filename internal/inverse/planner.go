@@ -9,9 +9,9 @@ import (
 )
 
 // planner is the resumable decision core of a plan: it emits the next probe
-// knob value and folds each observation back in, so the scalar Solve loop and
-// the lockstep Frontier rounds share every bracketing, seeding, and
-// convergence decision. One planner is one plan; it never evaluates anything
+// knob value and folds each observation back in, so the lockstep driver
+// behind Solve and Frontier (drive) holds no bracketing, seeding, or
+// convergence decision of its own. One planner is one plan; it never evaluates anything
 // itself.
 //
 // Two search modes share the refinement machinery:
@@ -114,9 +114,6 @@ func sortTowards(xs []float64, sgn float64) {
 
 // config is the probe configuration the planner is waiting on.
 func (p *planner) config() eval.Config { return p.spec.configAt(p.pend) }
-
-// opts are the evaluation options every probe uses.
-func (p *planner) opts() eval.Options { return p.spec.Metric.Options() }
 
 // done reports whether the plan has concluded (successfully or not).
 func (p *planner) done() bool { return p.finished }

@@ -9,9 +9,10 @@ import (
 	"lattol/internal/validate"
 )
 
-// Solve runs one inverse plan over ev. Probes are issued one at a time, so a
-// warm-starting evaluator (eval.Solver, or the serving layer's cached
-// evaluator) continues each probe from the previous fixed point.
+// Solve runs one inverse plan over ev: the lockstep driver of Frontier over
+// a single planner, so each probe is a one-config batch. A warm-starting
+// evaluator (eval.Solver, or the serving layer's cached evaluator) continues
+// each probe from the previous fixed point.
 //
 // Infeasible targets return *InfeasibleError; invalid specs return
 // field-named errors (*validate.FieldError).
@@ -20,12 +21,8 @@ func Solve(ctx context.Context, ev eval.Evaluator, spec Spec) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for !p.done() {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		m, err := ev.Evaluate(ctx, p.config(), p.opts())
-		p.observe(m, err)
+	if err := drive(ctx, ev, spec.Metric.Options(), []*planner{p}); err != nil {
+		return Result{}, err
 	}
 	return p.finish()
 }
@@ -77,11 +74,11 @@ type FrontierPoint struct {
 	Err error
 }
 
-// Frontier solves the inverse plan at every swept value. When ev implements
-// eval.BatchEvaluator the points advance in lockstep rounds — each round
-// gathers every unfinished point's next probe into one batch-kernel call
-// (mms.SolveBatch over mva.BatchWorkspace) — so a frontier costs rounds, not
-// points × probes, of kernel dispatches.
+// Frontier solves the inverse plan at every swept value. The points advance
+// in lockstep rounds — each round gathers every unfinished point's next
+// probe into one EvaluateBatch call (one batch-kernel call on the analytical
+// evaluators) — so a frontier costs rounds, not points × probes, of kernel
+// dispatches.
 func Frontier(ctx context.Context, ev eval.Evaluator, fs FrontierSpec) ([]FrontierPoint, error) {
 	if err := fs.Validate(); err != nil {
 		return nil, err
@@ -100,13 +97,26 @@ func Frontier(ctx context.Context, ev eval.Evaluator, fs FrontierSpec) ([]Fronti
 		}
 		planners[i] = p
 	}
-	be, batch := ev.(eval.BatchEvaluator)
+	if err := drive(ctx, ev, fs.Spec.Metric.Options(), planners); err != nil {
+		return nil, err
+	}
+	for i, p := range planners {
+		if p != nil {
+			pts[i].Result, pts[i].Err = p.finish()
+		}
+	}
+	return pts, nil
+}
+
+// drive runs the planners (nil entries are skipped) to completion in
+// lockstep rounds: each round is one EvaluateBatch call holding every
+// unfinished planner's next probe. It fails only when ctx expires.
+func drive(ctx context.Context, ev eval.Evaluator, opts eval.Options, planners []*planner) error {
 	var (
 		idx  []int
 		cfgs []eval.Config
 		out  []eval.Outcome
 	)
-	opts := fs.Spec.Metric.Options()
 	for {
 		idx, cfgs = idx[:0], cfgs[:0]
 		for i, p := range planners {
@@ -116,33 +126,20 @@ func Frontier(ctx context.Context, ev eval.Evaluator, fs FrontierSpec) ([]Fronti
 			}
 		}
 		if len(idx) == 0 {
-			break
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if batch {
-			if cap(out) < len(cfgs) {
-				out = make([]eval.Outcome, len(cfgs))
-			}
-			out = out[:len(cfgs)]
-			be.EvaluateBatch(ctx, cfgs, opts, out)
-			for j, i := range idx {
-				planners[i].observe(out[j].Metrics, out[j].Err)
-			}
-		} else {
-			for j, i := range idx {
-				m, err := ev.Evaluate(ctx, cfgs[j], opts)
-				planners[i].observe(m, err)
-			}
+		if cap(out) < len(cfgs) {
+			out = make([]eval.Outcome, len(cfgs))
+		}
+		out = out[:len(cfgs)]
+		ev.EvaluateBatch(ctx, cfgs, opts, out)
+		for j, i := range idx {
+			planners[i].observe(out[j].Metrics, out[j].Err)
 		}
 	}
-	for i, p := range planners {
-		if p != nil {
-			pts[i].Result, pts[i].Err = p.finish()
-		}
-	}
-	return pts, nil
 }
 
 // paramNameList joins the sweepable parameter names for error messages.

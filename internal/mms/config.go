@@ -151,9 +151,8 @@ func (c Config) switchPorts() int {
 }
 
 // geometry is the part of a Config that a model's topology and visit ratios
-// depend on: Model.Rebase shares an elaborated model between configurations
-// with equal geometry, and SolveBatch indexes its items by it to elaborate
-// each geometry once.
+// depend on: SolveBatch indexes its items by it to elaborate each geometry
+// once and rebase (Model.rebaseInto) the others of that geometry onto it.
 type geometry struct {
 	k       int
 	pRemote float64

@@ -101,29 +101,12 @@ func torusPattern(cfg Config) (*topology.Torus, access.Pattern, error) {
 // Config returns the configuration the model was built from.
 func (m *Model) Config() Config { return m.cfg }
 
-// Rebase returns a model for cfg that reuses this model's elaborated
-// topology and visit ratios. It succeeds only when cfg is valid and differs
-// from the model's configuration in fields the visits do not depend on
-// (thread count, service times, ports) — K, PRemote, Uniform, Psw and
-// GeometricMode must be equal. A rebased model solves bit for bit like a
-// built one. Two callers rely on that: an inverse solve's probe sequence
-// turning one such knob re-elaborates nothing (eval.Solver), and SolveBatch
-// elaborates each geometry of a batch once. The shared slices are read-only
-// in both models.
-func (m *Model) Rebase(cfg Config) (*Model, bool) {
-	if cfg.geometry() != m.cfg.geometry() {
-		return nil, false
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, false
-	}
-	n := new(Model)
-	m.rebaseInto(n, cfg)
-	return n, true
-}
-
-// rebaseInto assigns dst in full: cfg (which Rebase would accept) over this
-// model's topology, pattern, visits and rows.
+// rebaseInto assigns dst in full: cfg over this model's topology, pattern,
+// visits and rows. It is valid when cfg is valid and has this model's
+// geometry (K, PRemote, Uniform, Psw and GeometricMode equal), which is how
+// SolveBatch elaborates each geometry of a batch once; the rebased model
+// solves bit for bit like a built one. The shared slices are read-only in
+// both models.
 func (m *Model) rebaseInto(dst *Model, cfg Config) {
 	*dst = Model{cfg: cfg, torus: m.torus, pattern: m.pattern,
 		visitMem: m.visitMem, visitOut: m.visitOut, visitIn: m.visitIn,

@@ -1,7 +1,6 @@
 package mms
 
 import (
-	"fmt"
 	"math"
 
 	"lattol/internal/access"
@@ -62,11 +61,11 @@ func BuildHeterogeneous(cfg Config, threads []int) (*PEModel, error) {
 		return nil, err
 	}
 	if len(threads) != torus.Nodes() {
-		return nil, fmt.Errorf("mms: %d thread counts for %d PEs", len(threads), torus.Nodes())
+		return nil, validate.Fieldf("mms.BuildHeterogeneous", "threads", "has %d counts, want one per PE (%d)", len(threads), torus.Nodes())
 	}
 	for i, nt := range threads {
 		if nt < 0 {
-			return nil, fmt.Errorf("mms: PE %d has %d threads", i, nt)
+			return nil, validate.Fieldf("mms.BuildHeterogeneous", "threads", "[%d] = %d, want >= 0", i, nt)
 		}
 	}
 	return newPEModel(cfg, torus, threads, func(home topology.Node) (float64, func(topology.Node) float64) {
@@ -86,14 +85,14 @@ func BuildHotSpot(cfg Config, hot topology.Node, frac float64) (*PEModel, error)
 		return nil, err
 	}
 	if frac < 0 || frac > 1 || math.IsNaN(frac) {
-		return nil, fmt.Errorf("mms: hot-spot fraction %v, want in [0,1]", frac)
+		return nil, validate.Fieldf("mms.BuildHotSpot", "frac", "= %v, want in [0,1]", frac)
 	}
 	torus, pat, err := torusPattern(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if int(hot) < 0 || int(hot) >= torus.Nodes() {
-		return nil, fmt.Errorf("mms: hot node %d out of range [0,%d)", hot, torus.Nodes())
+		return nil, validate.Fieldf("mms.BuildHotSpot", "hot", "= %d, want in [0,%d)", hot, torus.Nodes())
 	}
 	return newPEModel(cfg, torus, nil, func(home topology.Node) (float64, func(topology.Node) float64) {
 		switch {
@@ -129,10 +128,10 @@ func BuildOnTopology(cfg Config, net topology.Network) (*PEModel, error) {
 		return nil, err
 	}
 	if cfg.PRemote < 0 || cfg.PRemote > 1 || math.IsNaN(cfg.PRemote) {
-		return nil, fmt.Errorf("mms: PRemote = %v, want in [0,1]", cfg.PRemote)
+		return nil, validate.Fieldf("mms.Config", "PRemote", "= %v, want in [0,1]", cfg.PRemote)
 	}
 	if net.Nodes() < 2 && cfg.PRemote > 0 {
-		return nil, fmt.Errorf("mms: single-node network cannot have PRemote > 0")
+		return nil, validate.Fieldf("mms.Config", "PRemote", "= %v, want 0 on a single-node network", cfg.PRemote)
 	}
 	var pat access.Pattern
 	if cfg.PRemote > 0 {
@@ -321,14 +320,14 @@ func (m *PEModel) meanDistance() float64 {
 func Imbalance(t *topology.Torus, total, spread int) ([]int, error) {
 	p := t.Nodes()
 	if total < 0 || total%p != 0 {
-		return nil, fmt.Errorf("mms: total threads %d not divisible by %d PEs", total, p)
+		return nil, validate.Fieldf("mms.Imbalance", "total", "= %d, want a non-negative multiple of %d PEs", total, p)
 	}
 	per := total / p
 	if spread < 0 || spread > per {
-		return nil, fmt.Errorf("mms: spread %d out of range [0, %d]", spread, per)
+		return nil, validate.Fieldf("mms.Imbalance", "spread", "= %d, want in [0,%d]", spread, per)
 	}
 	if p%2 != 0 && spread != 0 {
-		return nil, fmt.Errorf("mms: imbalance needs an even number of PEs, got %d", p)
+		return nil, validate.Fieldf("mms.Imbalance", "spread", "= %d, want 0 on an odd number of PEs (%d)", spread, p)
 	}
 	out := make([]int, p)
 	for i := range out {

@@ -100,16 +100,10 @@ func TestHeteroZeroThreadPE(t *testing.T) {
 	}
 }
 
+// TestHeteroValidation covers the config check; the argument checks are in
+// TestPEConstructorErrorsNameField.
 func TestHeteroValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := BuildHeterogeneous(cfg, []int{1, 2}); err == nil {
-		t.Error("want length error")
-	}
-	bad := make([]int, 16)
-	bad[0] = -1
-	if _, err := BuildHeterogeneous(cfg, bad); err == nil {
-		t.Error("want negative error")
-	}
 	cfg.K = 0
 	if _, err := BuildHeterogeneous(cfg, nil); err == nil {
 		t.Error("want config error")
@@ -137,15 +131,6 @@ func TestImbalanceGenerator(t *testing.T) {
 	}
 	if total != 128 || high != 8 || low != 8 {
 		t.Errorf("total %d, high %d, low %d", total, high, low)
-	}
-	if _, err := Imbalance(tor, 127, 0); err == nil {
-		t.Error("want divisibility error")
-	}
-	if _, err := Imbalance(tor, 128, 9); err == nil {
-		t.Error("want spread range error")
-	}
-	if _, err := Imbalance(topology.MustTorus(3), 9, 1); err == nil {
-		t.Error("want even-PE error")
 	}
 }
 
@@ -252,15 +237,6 @@ func TestTopoModelValidation(t *testing.T) {
 	cfg.Runlength = -1
 	if _, err := BuildOnTopology(cfg, topology.MustMesh(3)); err == nil {
 		t.Error("want error for invalid config")
-	}
-	cfg = DefaultConfig()
-	cfg.PRemote = 0.2
-	if _, err := BuildOnTopology(cfg, topology.MustMesh(1)); err == nil {
-		t.Error("want error for 1-node network with remote traffic")
-	}
-	cfg.PRemote = math.NaN()
-	if _, err := BuildOnTopology(cfg, topology.MustMesh(3)); err == nil {
-		t.Error("want error for NaN PRemote")
 	}
 	cfg = DefaultConfig()
 	cfg.Uniform = true
@@ -374,17 +350,10 @@ func TestHotSpotVisitConservation(t *testing.T) {
 	}
 }
 
+// TestHotSpotValidation covers the config check; the argument checks are in
+// TestPEConstructorErrorsNameField.
 func TestHotSpotValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := BuildHotSpot(cfg, 0, -0.1); err == nil {
-		t.Error("negative fraction should fail")
-	}
-	if _, err := BuildHotSpot(cfg, 0, 1.1); err == nil {
-		t.Error("fraction > 1 should fail")
-	}
-	if _, err := BuildHotSpot(cfg, 99, 0.2); err == nil {
-		t.Error("out-of-range hot node should fail")
-	}
 	cfg.K = 0
 	if _, err := BuildHotSpot(cfg, 0, 0.2); err == nil {
 		t.Error("invalid config should fail")
@@ -562,5 +531,41 @@ func TestHotSpotExact(t *testing.T) {
 	}
 	if math.Abs(amva.MeanUp-met.MeanUp) > 0.05*met.MeanUp || amva.MeanUp == met.MeanUp {
 		t.Errorf("AMVA mean U_p %v, exact %v: want close but distinct", amva.MeanUp, met.MeanUp)
+	}
+}
+
+// TestPEConstructorErrorsNameField verifies every argument check of the
+// per-PE constructors reports a field-named error naming the argument.
+func TestPEConstructorErrorsNameField(t *testing.T) {
+	negative := make([]int, 16)
+	negative[3] = -1
+	remote := DefaultConfig()
+	remote.PRemote = 0.2
+	nan := DefaultConfig()
+	nan.PRemote = math.NaN()
+	cases := []struct {
+		name  string
+		build func() error
+		field string
+	}{
+		{"hetero-length", func() error { _, err := BuildHeterogeneous(DefaultConfig(), []int{1, 2}); return err }, "threads"},
+		{"hetero-negative", func() error { _, err := BuildHeterogeneous(DefaultConfig(), negative); return err }, "threads"},
+		{"hotspot-frac-low", func() error { _, err := BuildHotSpot(DefaultConfig(), 0, -0.1); return err }, "frac"},
+		{"hotspot-frac-high", func() error { _, err := BuildHotSpot(DefaultConfig(), 0, 1.1); return err }, "frac"},
+		{"hotspot-frac-nan", func() error { _, err := BuildHotSpot(DefaultConfig(), 0, math.NaN()); return err }, "frac"},
+		{"hotspot-node", func() error { _, err := BuildHotSpot(DefaultConfig(), 99, 0.2); return err }, "hot"},
+		{"topo-premote", func() error { _, err := BuildOnTopology(nan, topology.MustMesh(3)); return err }, "PRemote"},
+		{"topo-single-node", func() error { _, err := BuildOnTopology(remote, topology.MustMesh(1)); return err }, "PRemote"},
+		{"imbalance-total", func() error { _, err := Imbalance(topology.MustTorus(4), 127, 0); return err }, "total"},
+		{"imbalance-negative-total", func() error { _, err := Imbalance(topology.MustTorus(4), -16, 0); return err }, "total"},
+		{"imbalance-spread", func() error { _, err := Imbalance(topology.MustTorus(4), 128, 9); return err }, "spread"},
+		{"imbalance-odd", func() error { _, err := Imbalance(topology.MustTorus(3), 9, 1); return err }, "spread"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.build(); validate.Field(err) != tc.field {
+				t.Errorf("err = %v, want a %s field error", err, tc.field)
+			}
+		})
 	}
 }

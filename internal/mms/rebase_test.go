@@ -27,10 +27,11 @@ func TestRebaseMatchesBuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.mut(&cfg)
-			rebased, ok := base.Rebase(cfg)
-			if !ok {
-				t.Fatalf("Rebase(%+v) refused", cfg)
+			if cfg.geometry() != base.cfg.geometry() {
+				t.Fatalf("%s changes the geometry", tc.name)
 			}
+			var rebased Model
+			base.rebaseInto(&rebased, cfg)
 			fresh, err := Build(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -50,13 +51,10 @@ func TestRebaseMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestRebaseRefusals verifies Rebase refuses visit-changing or invalid
-// configurations.
+// TestRebaseRefusals verifies SolveBatch never rebases a visit-changing or
+// invalid configuration onto an earlier item's model: behind the default
+// system in one batch, each answers exactly as it does alone.
 func TestRebaseRefusals(t *testing.T) {
-	base, err := Build(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	muts := []struct {
 		name string
 		mut  func(*Config)
@@ -70,8 +68,13 @@ func TestRebaseRefusals(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			tc.mut(&cfg)
-			if _, ok := base.Rebase(cfg); ok {
-				t.Errorf("Rebase(%+v) accepted", cfg)
+			alone := SolveBatch([]BatchItem{{Config: cfg}}, SolveOptions{})[0]
+			behind := SolveBatch([]BatchItem{{Config: DefaultConfig()}, {Config: cfg}}, SolveOptions{})[1]
+			if (alone.Err == nil) != (behind.Err == nil) || alone.Metrics != behind.Metrics {
+				t.Errorf("behind the default: %+v, alone: %+v", behind, alone)
+			}
+			if tc.name == "invalid" && behind.Err == nil {
+				t.Error("invalid configuration solved")
 			}
 		})
 	}

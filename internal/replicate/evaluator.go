@@ -16,8 +16,8 @@ import (
 // backend instead of the analytical solvers.
 //
 // Every evaluation derives its seed from the configuration's own field bits
-// (seedFor), so Evaluate is a pure function of its arguments: identical
-// configurations replay identical random-number streams (common random
+// (seedFor), so every answer is a pure function of its configuration:
+// identical configurations replay identical random-number streams (common random
 // numbers across evaluators and across probes), and a fresh Evaluator
 // reproduces another's answers bit for bit. That purity is what lets
 // conformance.CheckPlanOn certify a simulated plan against fresh forward
@@ -77,43 +77,56 @@ func (e *Evaluator) run(ctx context.Context, cfg mms.Config, precision float64) 
 	return Run(ctx, cfg, opts)
 }
 
-// idealUp returns the replicated U_p of an ideal configuration, memoized so
-// repeated probes sharing an ideal system simulate it once.
-func (e *Evaluator) idealUp(ctx context.Context, cfg mms.Config, precision float64) (idealEstimate, error) {
-	if est, ok := e.ideal[cfg]; ok {
+// idealUp returns the replicated U_p of cfg's ideal system for one
+// subsystem, memoized on the ideal configuration so repeated probes sharing
+// an ideal system simulate it once.
+func (e *Evaluator) idealUp(ctx context.Context, cfg mms.Config, sub tolerance.Subsystem, mode tolerance.IdealMode, precision float64) (idealEstimate, error) {
+	idealCfg, err := tolerance.IdealConfig(cfg, sub, mode)
+	if err != nil {
+		return idealEstimate{}, err
+	}
+	if est, ok := e.ideal[idealCfg]; ok {
 		return est, nil
 	}
-	res, err := e.run(ctx, cfg, precision)
+	res, err := e.run(ctx, idealCfg, precision)
 	if err != nil {
 		return idealEstimate{}, err
 	}
 	est := idealEstimate{up: res.Up.Mean, solves: res.Reps}
-	e.ideal[cfg] = est
+	e.ideal[idealCfg] = est
 	return est, nil
 }
 
-// Evaluate implements eval.Evaluator by replication. The Solver field of cfg
-// is ignored: the "solution procedure" here is always simulation.
-func (e *Evaluator) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Options) (eval.Metrics, error) {
+// EvaluateBatch implements eval.Evaluator by replication, positionally.
+// Each element is replicated independently (the parallelism lives inside
+// the replication runner); a failing element never affects its neighbors.
+// The Solver field of each config is ignored: the "solution procedure" here
+// is always simulation.
+func (e *Evaluator) EvaluateBatch(ctx context.Context, cfgs []eval.Config, opts eval.Options, out []eval.Outcome) {
 	precision := e.opts.Precision
 	if opts.MaxError > 0 && (precision <= 0 || opts.MaxError < precision) {
 		precision = opts.MaxError
 	}
-	res, err := e.run(ctx, cfg.Model, precision)
+	for i, cfg := range cfgs {
+		m, err := e.evaluate(ctx, cfg.Model, opts, precision)
+		out[i] = eval.Outcome{Metrics: m, Err: err}
+	}
+}
+
+// evaluate replicates one element: the real system, then each requested
+// ideal system through the memo.
+func (e *Evaluator) evaluate(ctx context.Context, cfg mms.Config, opts eval.Options, precision float64) (eval.Metrics, error) {
+	res, err := e.run(ctx, cfg, precision)
 	if err != nil {
 		return eval.Metrics{}, err
 	}
 	m := eval.Metrics{
-		Metrics: res.Metrics(cfg.Model),
+		Metrics: res.Metrics(cfg),
 		Solves:  res.Reps,
 		Bound:   res.Up.Rel(),
 	}
 	if opts.TolNetwork {
-		idealCfg, err := tolerance.IdealConfig(cfg.Model, tolerance.Network, tolerance.ZeroRemote)
-		if err != nil {
-			return eval.Metrics{}, err
-		}
-		est, err := e.idealUp(ctx, idealCfg, precision)
+		est, err := e.idealUp(ctx, cfg, tolerance.Network, tolerance.ZeroRemote, precision)
 		if err != nil {
 			return eval.Metrics{}, err
 		}
@@ -121,11 +134,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Opt
 		m.Solves += est.solves
 	}
 	if opts.TolMemory {
-		idealCfg, err := tolerance.IdealConfig(cfg.Model, tolerance.Memory, tolerance.ZeroDelay)
-		if err != nil {
-			return eval.Metrics{}, err
-		}
-		est, err := e.idealUp(ctx, idealCfg, precision)
+		est, err := e.idealUp(ctx, cfg, tolerance.Memory, tolerance.ZeroDelay, precision)
 		if err != nil {
 			return eval.Metrics{}, err
 		}
@@ -135,18 +144,4 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Opt
 	return m, nil
 }
 
-// EvaluateBatch implements eval.BatchEvaluator positionally. Each element is
-// replicated independently (the parallelism lives inside the replication
-// runner); a failing element never affects its neighbors.
-func (e *Evaluator) EvaluateBatch(ctx context.Context, cfgs []eval.Config, opts eval.Options, out []eval.Outcome) {
-	for i, cfg := range cfgs {
-		m, err := e.Evaluate(ctx, cfg, opts)
-		out[i] = eval.Outcome{Metrics: m, Err: err}
-	}
-}
-
-// Compile-time interface checks.
-var (
-	_ eval.Evaluator      = (*Evaluator)(nil)
-	_ eval.BatchEvaluator = (*Evaluator)(nil)
-)
+var _ eval.Evaluator = (*Evaluator)(nil)

@@ -20,11 +20,11 @@ func TestEvaluatorPure(t *testing.T) {
 	ctx := context.Background()
 	cfg := eval.Config{Model: testConfig()}
 	opts := eval.Options{TolNetwork: true, TolMemory: true}
-	a, err := NewEvaluator(testEvalOpts()).Evaluate(ctx, cfg, opts)
+	a, err := eval.One(ctx, NewEvaluator(testEvalOpts()), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEvaluator(testEvalOpts()).Evaluate(ctx, cfg, opts)
+	b, err := eval.One(ctx, NewEvaluator(testEvalOpts()), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +47,13 @@ func TestEvaluatorPure(t *testing.T) {
 func TestEvaluatorSeparatesConfigs(t *testing.T) {
 	ctx := context.Background()
 	ev := NewEvaluator(testEvalOpts())
-	a, err := ev.Evaluate(ctx, eval.Config{Model: testConfig()}, eval.Options{})
+	a, err := eval.One(ctx, ev, eval.Config{Model: testConfig()}, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := testConfig()
 	cfg2.Threads = 3
-	b, err := ev.Evaluate(ctx, eval.Config{Model: cfg2}, eval.Options{})
+	b, err := eval.One(ctx, ev, eval.Config{Model: cfg2}, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,38 +74,12 @@ func TestEvaluatorMemoizesIdeal(t *testing.T) {
 	cfgB := testConfig()
 	cfgB.PRemote = 0.4
 	for _, c := range []eval.Config{{Model: cfgA}, {Model: cfgB}} {
-		if _, err := ev.Evaluate(ctx, c, eval.Options{TolNetwork: true}); err != nil {
+		if _, err := eval.One(ctx, ev, c, eval.Options{TolNetwork: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := len(ev.ideal); got != 1 {
 		t.Errorf("ideal memo holds %d entries, want 1 (shared ZeroRemote ideal)", got)
-	}
-}
-
-// TestEvaluatorBatchMatchesScalar: the positional batch path must agree with
-// element-wise Evaluate on a fresh evaluator.
-func TestEvaluatorBatchMatchesScalar(t *testing.T) {
-	ctx := context.Background()
-	cfgs := []eval.Config{{Model: testConfig()}}
-	cfg2 := testConfig()
-	cfg2.Runlength = 20
-	cfgs = append(cfgs, eval.Config{Model: cfg2})
-	opts := eval.Options{TolNetwork: true}
-
-	out := make([]eval.Outcome, len(cfgs))
-	NewEvaluator(testEvalOpts()).EvaluateBatch(ctx, cfgs, opts, out)
-	for i, cfg := range cfgs {
-		want, err := NewEvaluator(testEvalOpts()).Evaluate(ctx, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[i].Err != nil {
-			t.Fatalf("batch element %d: %v", i, out[i].Err)
-		}
-		if !reflect.DeepEqual(out[i].Metrics, want) {
-			t.Errorf("batch element %d:\n got %+v\nwant %+v", i, out[i].Metrics, want)
-		}
 	}
 }
 
@@ -117,11 +91,11 @@ func TestEvaluatorMaxErrorTightens(t *testing.T) {
 	o.MinReps = 2
 	o.MaxReps = 32
 	o.Precision = 0.5 // loose: 2 reps suffice
-	loose, err := NewEvaluator(o).Evaluate(ctx, eval.Config{Model: testConfig()}, eval.Options{})
+	loose, err := eval.One(ctx, NewEvaluator(o), eval.Config{Model: testConfig()}, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := NewEvaluator(o).Evaluate(ctx, eval.Config{Model: testConfig()}, eval.Options{MaxError: 0.05})
+	tight, err := eval.One(ctx, NewEvaluator(o), eval.Config{Model: testConfig()}, eval.Options{MaxError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package replicate runs independent simulation replications in parallel and
 // aggregates them into confidence-bounded estimates, making the simulators
-// (package simmms) servable through the same evaluation interfaces as the
-// analytical solvers.
+// (package simmms) servable through the same evaluation interface as the
+// analytical solvers: Evaluator implements eval.Evaluator's one batch
+// method, replicating each element in turn.
 //
 // The runner fans N replications over a bounded pool of persistent workers.
 // Each worker owns one simmms.Replicator — the model is built once per worker

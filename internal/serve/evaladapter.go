@@ -7,8 +7,8 @@ import (
 	"lattol/internal/tolerance"
 )
 
-// planEvaluator adapts the serving Evaluator onto eval.Evaluator (and
-// eval.BatchEvaluator), so an inverse plan's probes flow through the exact
+// planEvaluator adapts the serving Evaluator onto eval.Evaluator, so an
+// inverse plan's probes flow through the exact
 // same machinery as /v1/solve and /v1/tolerance traffic: canonical keys, the
 // sharded LRU, in-flight coalescing and the bounded worker pool. Two plans
 // against the same model share probe results with each other and with plain
@@ -80,16 +80,8 @@ func assemble(opts eval.Options, outs []keyOutcome) (eval.Metrics, error) {
 	return met, nil
 }
 
-// Evaluate satisfies eval.Evaluator: one probe is a one-config batch.
-func (pe *planEvaluator) Evaluate(ctx context.Context, cfg eval.Config, opts eval.Options) (eval.Metrics, error) {
-	cfgs := [1]eval.Config{cfg}
-	var out [1]eval.Outcome
-	pe.EvaluateBatch(ctx, cfgs[:], opts, out[:])
-	return out[0].Metrics, out[0].Err
-}
-
-// EvaluateBatch satisfies eval.BatchEvaluator: one lockstep frontier round
-// through the cache. Hits resolve inline; all remaining misses are submitted
+// EvaluateBatch satisfies eval.Evaluator: one lockstep planner round (a
+// plan's one probe, or a frontier's probes) through the cache. Hits resolve inline; all remaining misses are submitted
 // as one batch task, exactly like /v1/batch items. out must have len(cfgs).
 func (pe *planEvaluator) EvaluateBatch(ctx context.Context, cfgs []eval.Config, opts eval.Options, out []eval.Outcome) {
 	if len(out) != len(cfgs) {

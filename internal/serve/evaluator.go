@@ -557,37 +557,25 @@ func (e *Evaluator) SolveBounded(ctx context.Context, r ModelRequest) (mms.Metri
 	return out[0].res.real, out[0].bound, out[0].st, out[0].err
 }
 
-// ToleranceOutcome is the resolved product of one tolerance evaluation.
-type ToleranceOutcome struct {
-	Subsystem tolerance.Subsystem
-	Mode      tolerance.IdealMode
-	Tol       float64
-	Real      mms.Metrics
-	Ideal     mms.Metrics
-}
-
-// Zone classifies the outcome's tolerance index.
-func (o ToleranceOutcome) Zone() tolerance.Zone { return tolerance.Classify(o.Tol) }
-
-// toleranceOutcome assembles the outcome of a tolerance key from its result.
-func toleranceOutcome(k *Key, res result) ToleranceOutcome {
-	return ToleranceOutcome{Subsystem: k.sub, Mode: k.mode, Tol: res.tol, Real: res.real, Ideal: res.ideal}
+// toleranceIndex assembles the index of a tolerance key from its result.
+func toleranceIndex(k *Key, res result) tolerance.Index {
+	return tolerance.Index{Subsystem: k.sub, Mode: k.mode, Tol: res.tol, Real: res.real, Ideal: res.ideal}
 }
 
 // Tolerance evaluates a tolerance index (real and ideal system solves share
 // one cache entry under the request's canonical key).
-func (e *Evaluator) Tolerance(ctx context.Context, r ToleranceRequest) (ToleranceOutcome, cacheState, error) {
+func (e *Evaluator) Tolerance(ctx context.Context, r ToleranceRequest) (tolerance.Index, cacheState, error) {
 	k, err := ToleranceKey(r)
 	if err != nil {
-		return ToleranceOutcome{}, stateLead, err
+		return tolerance.Index{}, stateLead, err
 	}
 	keys := [1]Key{k}
 	var out [1]keyOutcome
 	e.evalKeys(ctx, keys[:], nil, out[:])
 	if out[0].err != nil {
-		return ToleranceOutcome{}, out[0].st, out[0].err
+		return tolerance.Index{}, out[0].st, out[0].err
 	}
-	return toleranceOutcome(&k, out[0].res), out[0].st, nil
+	return toleranceIndex(&k, out[0].res), out[0].st, nil
 }
 
 // BatchOutcome is the positional product of one batch item. Err covers the
@@ -598,7 +586,7 @@ type BatchOutcome struct {
 	Cache     cacheState
 	Err       error
 	Metrics   mms.Metrics
-	Tolerance ToleranceOutcome
+	Tolerance tolerance.Index
 	// Bound is the certified relative error bound of an interpolated answer
 	// (Cache == stateSurrogate); 0 for exact results.
 	Bound float64
@@ -647,7 +635,7 @@ func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []B
 		switch {
 		case o.err != nil:
 		case keys[i].op == opTolerance:
-			out[i].Tolerance = toleranceOutcome(&keys[i], o.res)
+			out[i].Tolerance = toleranceIndex(&keys[i], o.res)
 		default:
 			out[i].Metrics, out[i].Bound = o.res.real, o.bound
 		}
