@@ -551,6 +551,49 @@ func BenchmarkServeSolveMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveColdMix runs the solver side of the repo benchmark's
+// solve-cold exact misses in process: one-item SolveBatchInto calls with
+// WarmStart on one reused workspace, as a lattold worker makes them. Points
+// step by the golden ratio over runlength 5–30, p_remote 0.05–0.9 and
+// threads 1–10, with K alternating 4 and 8; every fourth point (K = 4) is a
+// tolerance item, solved as the real system followed by its ZeroRemote
+// ideal. One op is one solve; iters/solve is the mean kernel iteration
+// count.
+func BenchmarkSolveColdMix(b *testing.B) {
+	const phi = 0.6180339887498949
+	var items []mms.BatchItem
+	for j := 0; j < 256; j++ {
+		cfg := mms.DefaultConfig()
+		if j%2 == 1 {
+			cfg.K = 8
+		}
+		_, u0 := math.Modf(float64(j) * phi)
+		_, u1 := math.Modf(float64(j) * phi * phi)
+		_, u2 := math.Modf(float64(j) * phi * phi * phi)
+		cfg.Runlength = 5 + 25*u0
+		cfg.PRemote = 0.05 + 0.85*u1
+		cfg.Threads = 1 + int(10*u2)
+		items = append(items, mms.BatchItem{Config: cfg})
+		if j%4 == 2 {
+			ideal, err := tolerance.IdealConfig(cfg, tolerance.Network, tolerance.ZeroRemote)
+			benchErr(b, err)
+			items = append(items, mms.BatchItem{Config: ideal})
+		}
+	}
+	dst := make([]mms.BatchResult, 1)
+	opts := mms.SolveOptions{Workspace: new(mms.Workspace), WarmStart: true}
+	var iters int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(items)
+		mms.SolveBatchInto(dst, items[j:j+1], opts)
+		benchErr(b, dst[0].Err)
+		iters += int64(dst[0].Metrics.Iterations)
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
+}
+
 // benchSurrogateSpec is the serve benchmark grid: small enough to build
 // quickly, wide enough that the benchmark query interpolates mid-cell on both
 // continuous axes. It pins the paper's larger 10×10 torus — the regime where
@@ -592,7 +635,7 @@ func BenchmarkServeSolveSurrogate(b *testing.B) {
 	}
 }
 
-// ---- Batched SoA solve path (DESIGN.md §13) --------------------------------
+// ---- Batched solve path (DESIGN.md §13) ------------------------------------
 
 // reportPointsPerSec converts whole-grid iterations into an aggregate
 // operating-points-per-second rate, the unit the batch path is judged in.
@@ -600,13 +643,13 @@ func reportPointsPerSec(b *testing.B, points float64) {
 	b.ReportMetric(points*float64(b.N)/b.Elapsed().Seconds(), "points/sec")
 }
 
-// BenchmarkBatchVsLooped measures one lockstep batch against looped
+// BenchmarkBatchVsLooped measures one kernel batch against looped
 // Model.Solve calls (one-lane batches of the same kernel) on the 180-point
 // Figure 4–5 operating grid (prebuilt models, snake order, one reused
 // workspace each, so both sides measure solving only). "looped-cold" solves
 // each point from the uniform seed; "looped-warm" seeds each point from the
 // previous one's solution; "batch" runs all 180 points through
-// SolveBatchInto in lockstep, continuing from the previous batch. The batch
+// SolveBatchInto as one batch, continuing from the previous batch. The batch
 // steady state must stay at 0 allocs/op.
 func BenchmarkBatchVsLooped(b *testing.B) {
 	models := figure4SnakeModels(b)

@@ -9,7 +9,7 @@ import (
 )
 
 // Solver is the direct, in-process Evaluator over the analytical solvers.
-// Each call is one lockstep batch on a reusable workspace, solved with the
+// Each call is one batch on a reusable workspace, solved with the
 // options lattold's workers use: warm starting, so a run of nearby
 // evaluations — exactly what an inverse solve's probe sequence is —
 // converges from the previous call's fixed point instead of from scratch,
@@ -30,10 +30,11 @@ type Solver struct {
 // NewSolver returns a ready Solver. The zero value is also ready.
 func NewSolver() *Solver { return &Solver{} }
 
-// EvaluateBatch solves every element as one lockstep batch: per element a
+// EvaluateBatch solves every element as one batch: per element a
 // real-system item plus one item per requested ideal system, all handed to
-// mms.SolveBatch, whose kernel iterates equal-shape lanes in lockstep with
-// continuation seeding between them. out must have len(cfgs).
+// mms.SolveBatch, whose kernel solves equal-shape lanes in one run, each
+// seeded from the workspace's previous converged solution. out must have
+// len(cfgs).
 func (s *Solver) EvaluateBatch(ctx context.Context, cfgs []Config, opts Options, out []Outcome) {
 	if len(out) != len(cfgs) {
 		panic("eval: EvaluateBatch: len(out) != len(cfgs)")

@@ -1,8 +1,8 @@
 // Package fixpoint implements safeguarded Anderson acceleration for
 // successive-substitution iterations x ← G(x) on nonnegative vectors, used
 // by the multiclass AMVA solver (mva.ApproxMultiClass, behind mms's
-// FullAMVA and heterogeneous models). The symmetric solver's lockstep batch
-// kernel (mva.BatchWorkspace) inlines its own guarded per-lane Aitken step.
+// FullAMVA and heterogeneous models). The symmetric solver's batch kernel
+// (mva.BatchWorkspace) inlines its own guarded per-lane Aitken step.
 //
 // The accelerator never evaluates the map itself: the caller evaluates
 // g = G(x), tests its own convergence criterion on the raw residual g − x,

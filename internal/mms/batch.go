@@ -17,7 +17,7 @@ type BatchItem struct {
 	// allocation-free.
 	Model *Model
 	// Solver selects the solution procedure for this item. SymmetricAMVA
-	// items (the default) ride the lockstep batch kernel; FullAMVA and
+	// items (the default) ride the mva batch kernel; FullAMVA and
 	// ExactMVA items are solved one by one (Model.Solve) on the same
 	// workspace.
 	Solver Solver
@@ -32,10 +32,10 @@ type BatchResult struct {
 // SolveBatch solves many operating points as one batch and reports each
 // outcome positionally: a failing item (invalid configuration, non-converged
 // lane) never affects its neighbors. Symmetric-AMVA items of equal station
-// shape are iterated in lockstep by the mva batch kernel — the kernel every
-// Model.Solve runs as a one-lane batch — with continuation seeding between
-// the points, and land on the same fixed point as item-by-item Model.Solve
-// calls (same raw-residual stopping rule and tolerance).
+// shape are solved as the lanes of one mva batch kernel run — the kernel
+// every Model.Solve runs as a one-lane batch — with continuation seeding
+// from the previous run, and land on the same fixed point as item-by-item
+// Model.Solve calls (same raw-residual stopping rule and tolerance).
 //
 // Each distinct system is elaborated and solved once per call. A Config
 // item whose Config and Solver equal an earlier item's takes no solve of its
@@ -202,9 +202,9 @@ func (e *laneError) Unwrap() error { return e.err }
 // each other and hold identical queue lengths at every Bard–Schweitzer
 // iterate. Each distinct value becomes ONE kernel row whose physical
 // multiplicity (mva.BatchWorkspace.SetWeight) is the copy count, shrinking
-// the lockstep loops by the dedup factor (a 4×4 torus under the default
+// the kernel's sweeps by the dedup factor (a 4×4 torus under the default
 // distance-decay pattern: 49 physical stations → 22 rows). Lanes may only
-// share a lockstep batch when their row/group layout agrees, hence the
+// share a kernel run when their row/group layout agrees, hence the
 // partition on this signature.
 type batchShape struct {
 	mem, out, in int
@@ -248,7 +248,7 @@ func batchShapeOf(m *Model) batchShape {
 	}
 }
 
-// solveSymmetricBatch loads one merged shape's items into the SoA kernel and
+// solveSymmetricBatch loads one merged shape's items into the batch kernel and
 // assembles each lane's metrics. The layout is class 0's view of the
 // symmetric network (0 = processor, then memory, outbound, inbound role
 // groups), with each role collapsed to its distinct visit values as weighted
@@ -269,37 +269,24 @@ func solveSymmetricBatch(ws *Workspace, models []*Model, idx []int, sh batchShap
 	for r := 0; r < sh.in; r++ {
 		bw.SetGroup(1+sh.mem+sh.out+r, int(Inbound))
 	}
-	// Per-lane role parameters, hoisted so the row-major load below reads
-	// four floats per lane instead of re-deriving them from the Config per
-	// element.
-	role := resizeF(ws.batchRole, 4*len(idx))
-	ws.batchRole = role
+	// Lanes load one after another: the kernel's buffers are lane-major, so
+	// each lane's rows are written contiguously.
 	for b, it := range idx {
-		cfg := &models[it].cfg
+		m := models[it]
+		cfg := &m.cfg
 		bw.SetPopulation(b, float64(cfg.Threads))
 		bw.Set(0, b, 1, cfg.processorService(), 1)
-		role[4*b] = cfg.MemoryTime
-		role[4*b+1] = float64(cfg.memoryPorts())
-		role[4*b+2] = cfg.SwitchTime
-		role[4*b+3] = float64(cfg.switchPorts())
-	}
-	// Role rows load row-major — the kernel's buffers are station-major, so
-	// walking the lanes innermost writes each row contiguously instead of
-	// striding a cache line per store.
-	rolesOf := [3]int{sh.mem, sh.out, sh.in}
-	row := 1
-	for r := 0; r < 3; r++ {
-		off := 2
-		if r == 0 {
-			off = 0
-		}
-		for k := 0; k < rolesOf[r]; k++ {
-			for b, it := range idx {
-				m := models[it]
-				bw.Set(row, b, m.mergeVals[r][k], role[4*b+off], role[4*b+off+1])
-				bw.SetWeight(row, b, m.mergeCounts[r][k])
+		row := 1
+		for r, vals := range m.mergeVals {
+			service, ports := cfg.SwitchTime, float64(cfg.switchPorts())
+			if r == 0 {
+				service, ports = cfg.MemoryTime, float64(cfg.memoryPorts())
 			}
-			row++
+			for k, v := range vals {
+				bw.Set(row, b, v, service, ports)
+				bw.SetWeight(row, b, m.mergeCounts[r][k])
+				row++
+			}
 		}
 	}
 	bw.Run(mva.BatchOptions{Tolerance: opts.Tolerance, MaxIterations: opts.MaxIterations, WarmStart: opts.WarmStart})

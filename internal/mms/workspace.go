@@ -7,7 +7,7 @@ import (
 )
 
 // Workspace holds the reusable scratch of the model solvers and of
-// SolveBatch's elaboration: the lockstep batch kernel that runs every
+// SolveBatch's elaboration: the batch kernel that runs every
 // symmetric-AMVA solve (Model.Solve is a one-lane batch), an mva.Workspace
 // for the multiclass solvers, and the tables and slabs SolveBatch builds
 // its own models from. A long-lived solver (a serving pool worker, an
@@ -24,7 +24,7 @@ type Workspace struct {
 	// mvaWS backs the FullAMVA multiclass solver and the extension solvers
 	// (topology comparison, heterogeneous and hot-spot workloads).
 	mvaWS mva.Workspace
-	// Symmetric-AMVA scratch: the SoA lockstep kernel (which also keeps the
+	// Symmetric-AMVA scratch: the lane-major batch kernel (which also keeps the
 	// WarmStart continuation state) plus the grouping bookkeeping of
 	// SolveBatch (lane→item indices, per-item models, shape partition flags).
 	batch       mva.BatchWorkspace
@@ -32,10 +32,8 @@ type Workspace struct {
 	batchModels []*Model
 	batchDone   []bool
 	// Station-dedup scratch: the per-item merged shapes of the current
-	// batch (the row lists themselves are cached on each Model at Build)
-	// and the hoisted per-lane role parameters of the kernel load.
+	// batch (the row lists themselves are cached on each Model at Build).
 	batchShapes []batchShape
-	batchRole   []float64
 	// Sharing scratch of SolveBatch: each item's first identical item (or
 	// -1), and the first item of each distinct system and of each distinct
 	// elaborated geometry in the current batch.
@@ -48,13 +46,6 @@ type Workspace struct {
 	tables map[tableKey]*elabTable
 	models slab[Model]
 	floats slab[float64]
-}
-
-func resizeF(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
 }
 
 // wsPool supplies workspaces to solves that were not handed one explicitly

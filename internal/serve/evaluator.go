@@ -90,7 +90,7 @@ func (c Config) withDefaults() Config {
 
 // task is one admitted evaluation waiting for a worker: the cache-missing
 // entries of one request (a single key for /v1/solve and /v1/tolerance),
-// solved together as one lockstep batch.
+// solved together as one kernel batch.
 type task struct {
 	ents []*entry
 	ctx  context.Context
@@ -296,7 +296,7 @@ type workerScratch struct {
 }
 
 // computeBatch translates entries into mms batch items — one per solve key,
-// two per tolerance key (real system, then ideal) — runs them as one lockstep
+// two per tolerance key (real system, then ideal) — runs them as one kernel
 // batch on the worker's workspace and completes each entry from its span of
 // the positional results. The workspace carries its last converged solution
 // forward, so runs of same-shape requests converge from a continuation guess
@@ -447,8 +447,8 @@ type keyOutcome struct {
 // tries the LRU without taking leadership, then the surrogate grid; every
 // other key, and every key those tiers miss, goes through getOrStart — cache
 // hit, coalesce onto an identical in-flight evaluation, or lead. All leads are
-// submitted as ONE task, so a single worker iterates them in lockstep with
-// continuation seeding between the points. maxErr is index-aligned with keys,
+// submitted as ONE task, so a single worker solves them as one kernel batch
+// with continuation seeding. maxErr is index-aligned with keys,
 // or nil when every answer must be exact. Positions whose key is the zero Key
 // (op 0) are skipped — the caller has already resolved them. out must have
 // len(keys); every other position gets its state, error and bound, and its
@@ -595,8 +595,8 @@ type BatchOutcome struct {
 // Batch evaluates a positional list of items. Each item's canonical key flows
 // through the three-level lookup first — LRU hits, surrogate answers and
 // in-flight coalescing are resolved before any solver runs — and all
-// remaining misses are solved as one lockstep batch on a single worker, with
-// continuation seeding between the points. out must have len(items). The
+// remaining misses are solved as one kernel batch on a single worker, with
+// continuation seeding. out must have len(items). The
 // returned error is an envelope error (malformed batch as a whole); per-item
 // failures are positional in out.
 func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []BatchOutcome) error {
@@ -646,7 +646,7 @@ func (e *Evaluator) Batch(ctx context.Context, items []BatchItemRequest, out []B
 // Sweep evaluates tolerance indices over a knob range. The grid is one key
 // list through evalKeys: per-point cache hits are extracted up front, and every
 // remaining point (two tolerance keys each: network and memory) is solved as
-// one lockstep batch on a single worker, so the kernel's continuation seeding
+// one kernel batch on a single worker, so the kernel's continuation seeding
 // walks the grid in order. Repeated sweeps hit the cache; under overload the
 // batch is shed as a whole and the sweep fails fast.
 func (e *Evaluator) Sweep(ctx context.Context, r SweepRequest) ([]SweepPoint, error) {
