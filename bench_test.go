@@ -414,29 +414,25 @@ func BenchmarkAMVAColdVsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkFullAMVAAccel compares the plain and the Anderson-accelerated
-// general multiclass AMVA (the solver SolveOptions.Accel acts on) on a
-// single cold solve of a congested operating point (high thread count and
-// remote fraction, where plain Bard–Schweitzer converges slowest).
+// BenchmarkFullAMVAAccel times the general multiclass AMVA on a single cold
+// solve of a congested operating point (high thread count and remote
+// fraction, where plain Bard–Schweitzer converges slowest), reporting the
+// sweeps its guarded Irons–Tuck loop takes.
 func BenchmarkFullAMVAAccel(b *testing.B) {
 	cfg := mms.DefaultConfig()
 	cfg.Threads = 10
 	cfg.PRemote = 0.9
 	model, err := mms.Build(cfg)
 	benchErr(b, err)
-	for _, accel := range []mva.Accel{mva.AccelNone, mva.AccelAnderson} {
-		b.Run(accel.String(), func(b *testing.B) {
-			ws := new(mms.Workspace)
-			var iters int64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				met, err := model.Solve(mms.SolveOptions{Solver: mms.FullAMVA, Workspace: ws, Accel: accel})
-				benchErr(b, err)
-				iters += int64(met.Iterations)
-			}
-			b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
-		})
+	ws := new(mms.Workspace)
+	var iters int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		met, err := model.Solve(mms.SolveOptions{Solver: mms.FullAMVA, Workspace: ws})
+		benchErr(b, err)
+		iters += int64(met.Iterations)
 	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/solve")
 }
 
 // ---- Component microbenchmarks ---------------------------------------------

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"lattol/internal/mms"
-	"lattol/internal/mva"
 	"lattol/internal/tolerance"
 )
 
@@ -12,10 +11,9 @@ import (
 // Each call is one batch on a reusable workspace, solved with the
 // options lattold's workers use: warm starting, so a run of nearby
 // evaluations — exactly what an inverse solve's probe sequence is —
-// converges from the previous call's fixed point instead of from scratch,
-// and Anderson acceleration for FullAMVA items (same fixed point; see
-// mva.Accel). A plan on a fresh Solver therefore answers exactly as
-// /v1/plan does on a fresh single-worker daemon.
+// converges from the previous call's fixed point instead of from scratch.
+// A plan on a fresh Solver therefore answers exactly as /v1/plan does on a
+// fresh single-worker daemon.
 //
 // A Solver may be used by one goroutine at a time (the workspace contract).
 // MaxError is ignored: every answer is exact (Bound 0).
@@ -67,7 +65,7 @@ func (s *Solver) EvaluateBatch(ctx context.Context, cfgs []Config, opts Options,
 		}
 	}
 	s.items = items
-	mms.SolveBatchInto(res, items, mms.SolveOptions{Workspace: &s.ws, WarmStart: true, Accel: mva.AccelAnderson})
+	mms.SolveBatchInto(res, items, mms.SolveOptions{Workspace: &s.ws, WarmStart: true})
 	pos := 0
 	for i := range cfgs {
 		real := res[pos]

@@ -53,7 +53,7 @@ type BatchResult struct {
 // kernel run from the workspace's previous converged solution of the same
 // station count (mva.BatchOptions.WarmStart) — across successive batches and
 // between the shapes of one batch — and applies to FullAMVA items as in
-// Model.Solve. Accel acts only on FullAMVA items.
+// Model.Solve.
 func SolveBatch(items []BatchItem, opts SolveOptions) []BatchResult {
 	out := make([]BatchResult, len(items))
 	SolveBatchInto(out, items, opts)

@@ -39,22 +39,20 @@ func TestOverflowIsNonConvergence(t *testing.T) {
 		{"iteration cap", DefaultConfig(), 2},
 	} {
 		for _, solver := range []Solver{SymmetricAMVA, FullAMVA} {
-			for _, accel := range []mva.Accel{mva.AccelNone, mva.AccelAnderson} {
-				opts := SolveOptions{Solver: solver, Accel: accel, WarmStart: true, Workspace: new(Workspace)}
-				badOpts := opts
-				badOpts.MaxIterations = bad.maxIterations
-				var nce *mva.NonConvergenceError
-				_, err := build(bad.cfg).Solve(badOpts)
-				if !errors.As(err, &nce) {
-					t.Errorf("%s %v/%v: error = %v, want *mva.NonConvergenceError", bad.name, solver, accel, err)
-				} else if strings.Contains(err.Error(), "batch") {
-					t.Errorf("%s %v/%v: error %q names a batch", bad.name, solver, accel, err)
-				}
-				got, err := build(DefaultConfig()).Solve(opts)
-				if err != nil || !(got.Up > 0) || off(got.Up) > 1e-9 {
-					t.Errorf("%s %v/%v: solve after the failure: U_p %v err %v, want %v",
-						bad.name, solver, accel, got.Up, err, want.Up)
-				}
+			opts := SolveOptions{Solver: solver, WarmStart: true, Workspace: new(Workspace)}
+			badOpts := opts
+			badOpts.MaxIterations = bad.maxIterations
+			var nce *mva.NonConvergenceError
+			_, err := build(bad.cfg).Solve(badOpts)
+			if !errors.As(err, &nce) {
+				t.Errorf("%s %v: error = %v, want *mva.NonConvergenceError", bad.name, solver, err)
+			} else if strings.Contains(err.Error(), "batch") {
+				t.Errorf("%s %v: error %q names a batch", bad.name, solver, err)
+			}
+			got, err := build(DefaultConfig()).Solve(opts)
+			if err != nil || !(got.Up > 0) || off(got.Up) > 1e-9 {
+				t.Errorf("%s %v: solve after the failure: U_p %v err %v, want %v",
+					bad.name, solver, got.Up, err, want.Up)
 			}
 		}
 	}

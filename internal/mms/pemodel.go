@@ -221,8 +221,8 @@ func (m *PEModel) Network() *queueing.Network { return m.net.Clone() }
 
 // Solve solves the network on all P classes and reads out the per-PE
 // measures. ExactMVA runs the exact recursion; SymmetricAMVA and FullAMVA
-// both run the full multiclass AMVA, with opts.Accel and opts.WarmStart, as
-// Model's FullAMVA does.
+// both run the full multiclass AMVA, with opts.WarmStart, as Model's
+// FullAMVA does.
 func (m *PEModel) Solve(opts SolveOptions) (PEMetrics, error) {
 	if err := opts.Validate(); err != nil {
 		return PEMetrics{}, err

@@ -412,7 +412,6 @@ func TestPEModelSolveOptions(t *testing.T) {
 		}{
 			{SolveOptions{Solver: 99}, "Solver"},
 			{SolveOptions{Tolerance: -1}, "Tolerance"},
-			{SolveOptions{Accel: 99}, "Accel"},
 		} {
 			if _, err := m.Solve(tc.opts); validate.Field(err) != tc.field {
 				t.Errorf("%s %+v: err %v, want a %s field error", name, tc.opts, err, tc.field)
@@ -427,14 +426,6 @@ func TestPEModelSolveOptions(t *testing.T) {
 		plain, err := m.Solve(SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		acc, err := m.Solve(SolveOptions{Accel: mva.AccelAnderson})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc.Iterations == plain.Iterations || math.Abs(acc.MeanUp-plain.MeanUp) > 1e-8 {
-			t.Errorf("%s: Anderson %d iterations U_p %v, plain %d iterations U_p %v: want the same fixed point in a different count",
-				name, acc.Iterations, acc.MeanUp, plain.Iterations, plain.MeanUp)
 		}
 		ws := new(Workspace)
 		if _, err := m.Solve(SolveOptions{WarmStart: true, Workspace: ws}); err != nil {

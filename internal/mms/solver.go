@@ -65,12 +65,13 @@ type SolveOptions struct {
 	Solver        Solver
 	Tolerance     float64 // convergence threshold on queue lengths (default 1e-10)
 	MaxIterations int     // default 200000
-	// Accel selects a fixed-point acceleration scheme for the full
-	// multiclass AMVA: Model's FullAMVA and every PEModel AMVA solve. Same
-	// fixed point, fewer iterations; see mva.Accel. Model's SymmetricAMVA
-	// ignores it: the batch kernel always runs its own guarded Aitken
-	// extrapolation (see mva.BatchWorkspace).
-	Accel mva.Accel
+	// Accel has no effect: every AMVA solve, symmetric or full, takes the
+	// same guarded Irons–Tuck step.
+	//
+	// Deprecated: ignored. It remains only so that the benchmark module,
+	// which sets it to mva.AccelAnderson, still compiles; it goes with that
+	// setting.
+	Accel int
 	// WarmStart seeds the AMVA iterate from the workspace's previous
 	// converged solution when the network shape matches (ignored by
 	// ExactMVA). For SymmetricAMVA it is the batch kernel's continuation
@@ -97,11 +98,6 @@ func (o SolveOptions) Validate() error {
 	}
 	if o.Tolerance < 0 || math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) {
 		return validate.Fieldf("mms.SolveOptions", "Tolerance", "= %v, want finite >= 0", o.Tolerance)
-	}
-	switch o.Accel {
-	case mva.AccelNone, mva.AccelAnderson:
-	default:
-		return validate.Fieldf("mms.SolveOptions", "Accel", "= %d, want AccelNone or AccelAnderson", int(o.Accel))
 	}
 	return nil
 }
@@ -217,7 +213,6 @@ func solveNetwork(net *queueing.Network, opts SolveOptions, ws *Workspace) (*mva
 	return ws.mvaWS.ApproxMultiClass(net, mva.AMVAOptions{
 		Tolerance:     opts.Tolerance,
 		MaxIterations: opts.MaxIterations,
-		Accel:         opts.Accel,
 		WarmStart:     opts.WarmStart,
 	})
 }

@@ -8,36 +8,13 @@ import (
 	"lattol/internal/validate"
 )
 
-// Accel selects a fixed-point acceleration scheme layered over the
-// Bard–Schweitzer iteration. Every scheme converges to the same fixed point
-// as the plain iteration — the convergence test is always the raw residual
-// ‖G(n) − n‖∞ < Tolerance — it only changes how many iterations are needed
-// to get there.
-type Accel int
-
-const (
-	// AccelNone runs the plain Bard–Schweitzer successive substitution of
-	// the paper's Figure 3. Default.
-	AccelNone Accel = iota
-	// AccelAnderson runs depth-3 Anderson mixing (fixpoint.Anderson): the
-	// next iterate combines the last three residuals through a
-	// least-squares step. When the LS system is ill-conditioned or the mixed
-	// iterate leaves the feasible region (negative or non-finite queue
-	// lengths), the step falls back to the plain iteration and the history
-	// restarts.
-	AccelAnderson
-)
-
-func (a Accel) String() string {
-	switch a {
-	case AccelNone:
-		return "none"
-	case AccelAnderson:
-		return "anderson"
-	default:
-		return fmt.Sprintf("Accel(%d)", int(a))
-	}
-}
+// AccelAnderson has no effect: every approximate solve takes the one guarded
+// Irons–Tuck step (see ApproxMultiClass).
+//
+// Deprecated: ignored. It remains only so that the benchmark module, which
+// sets mms.SolveOptions.Accel to it, still compiles; it goes with that
+// setting.
+const AccelAnderson = 1
 
 // AMVAOptions tunes the approximate solver. The zero value selects sensible
 // defaults.
@@ -49,10 +26,6 @@ type AMVAOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the fixed-point loop. Default 100000.
 	MaxIterations int
-	// Accel selects a fixed-point acceleration scheme. All schemes converge
-	// to the same fixed point (the convergence test is the raw residual);
-	// they differ only in iteration count. Default AccelNone.
-	Accel Accel
 	// WarmStart seeds the queue-length iterate from the workspace's previous
 	// converged solution instead of the uniform initial spread. The seed is
 	// shape-checked: when the workspace's last converged solve had a
@@ -68,11 +41,6 @@ type AMVAOptions struct {
 func (o AMVAOptions) Validate() error {
 	if math.IsNaN(o.Tolerance) || math.IsInf(o.Tolerance, 0) || o.Tolerance < 0 {
 		return validate.Fieldf("mva.AMVAOptions", "Tolerance", "= %v, want finite >= 0", o.Tolerance)
-	}
-	switch o.Accel {
-	case AccelNone, AccelAnderson:
-	default:
-		return validate.Fieldf("mva.AMVAOptions", "Accel", "= %d, want AccelNone or AccelAnderson", int(o.Accel))
 	}
 	return nil
 }
@@ -140,8 +108,10 @@ func overflowError(iters int, tol float64) *NonConvergenceError {
 //	λ_i        = N_i / Σ_m e_{i,m}·w_{i,m}                        (step 3)
 //	n_{i,m}    = λ_i·e_{i,m}·w_{i,m}                              (step 4)
 //
-// until queue lengths stabilize (step 5). On non-convergence the returned
-// error is a *NonConvergenceError carrying the last iteration's diagnostics.
+// until queue lengths stabilize (step 5), every second sweep extrapolated by
+// a guarded Irons–Tuck step that moves the iterate but not the fixed point.
+// On non-convergence the returned error is a *NonConvergenceError carrying
+// the last iteration's diagnostics.
 //
 // The returned Result is freshly allocated and owned by the caller. For
 // repeated solves that should reuse buffers (and warm-start from the previous

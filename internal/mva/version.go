@@ -11,4 +11,4 @@ package mva
 // bit-identical (verified against the golden corpus at 1e-9) keep the tag.
 // Stale artifacts are not migrated: a version mismatch at load time falls
 // back to a cold build/solve, which regenerates them.
-const SolverVersion = "amva/2"
+const SolverVersion = "amva/3"

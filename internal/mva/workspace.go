@@ -1,7 +1,5 @@
 package mva
 
-import "lattol/internal/fixpoint"
-
 // Workspace holds the scratch buffers and result storage of the solvers, so
 // repeated solves (parameter sweeps, fixed-point refinements) reuse one
 // allocation set instead of re-allocating per call.
@@ -45,11 +43,10 @@ type Workspace struct {
 	warmNC int
 	warmNM int
 
-	// Fixed-point scratch (iterate): g is the evaluated map G(x),
-	// upper the per-component feasibility bounds, accel the scheme state.
+	// Fixed-point scratch (iterate): g is the evaluated map G(x), xPrev
+	// the Aitken leg-1 snapshot.
 	g     []float64
-	upper []float64
-	accel fixpoint.Accelerator
+	xPrev []float64
 
 	// Exact-MVA scratch: lattice is the queue-length table over the
 	// population lattice (states×nm); pop / radix / stride are the

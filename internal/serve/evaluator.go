@@ -13,7 +13,6 @@ import (
 
 	"lattol/internal/access"
 	"lattol/internal/mms"
-	"lattol/internal/mva"
 	"lattol/internal/surrogate"
 	"lattol/internal/tolerance"
 	"lattol/internal/validate"
@@ -272,16 +271,7 @@ func (e *Evaluator) worker() {
 			}
 			continue
 		}
-		e.met.inFlight.Add(1)
-		if e.solveHook != nil {
-			for _, ent := range t.ents {
-				e.solveHook(ent.key)
-			}
-		}
-		start := time.Now()
 		e.computeBatch(w, t.ents)
-		e.met.solveLatency.observe(time.Since(start))
-		e.met.inFlight.Add(-1)
 	}
 }
 
@@ -300,9 +290,20 @@ type workerScratch struct {
 // batch on the worker's workspace and completes each entry from its span of
 // the positional results. The workspace carries its last converged solution
 // forward, so runs of same-shape requests converge from a continuation guess
-// instead of from scratch; full-AMVA items additionally get warm starting and
-// Anderson mixing (same fixed point; see mva.Accel).
+// instead of from scratch; full-AMVA items warm-start the same way, from the
+// workspace's previous converged multiclass solution.
+//
+// The solve's latency and in-flight count are recorded before the first
+// entry completes: completing an entry wakes its waiters, which may read the
+// metrics at once.
 func (e *Evaluator) computeBatch(w *workerScratch, ents []*entry) {
+	e.met.inFlight.Add(1)
+	if e.solveHook != nil {
+		for _, ent := range ents {
+			e.solveHook(ent.key)
+		}
+	}
+	start := time.Now()
 	items := w.items[:0]
 	idealErr := w.idealErr[:0]
 	for _, ent := range ents {
@@ -327,7 +328,9 @@ func (e *Evaluator) computeBatch(w *workerScratch, ents []*entry) {
 		w.results = make([]mms.BatchResult, len(items))
 	}
 	results := w.results[:len(items)]
-	mms.SolveBatchInto(results, items, mms.SolveOptions{Workspace: &w.ws, WarmStart: true, Accel: mva.AccelAnderson})
+	mms.SolveBatchInto(results, items, mms.SolveOptions{Workspace: &w.ws, WarmStart: true})
+	e.met.solveLatency.observe(time.Since(start))
+	e.met.inFlight.Add(-1)
 	pos := 0
 	for i, ent := range ents {
 		k := ent.key
