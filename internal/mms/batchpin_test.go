@@ -39,11 +39,8 @@ func pinnedBatchConfigs() []BatchItem {
 // pinResult folds one batch outcome into the digest: U_p, L_obs and S_obs
 // as float64 bits, the iteration count and the error text.
 func pinResult(h hash.Hash, r BatchResult) {
+	pinFloats(h, r.Metrics.Up, r.Metrics.LObs, r.Metrics.SObs)
 	var buf [8]byte
-	for _, v := range []float64{r.Metrics.Up, r.Metrics.LObs, r.Metrics.SObs} {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
 	binary.LittleEndian.PutUint64(buf[:], uint64(r.Metrics.Iterations))
 	h.Write(buf[:])
 	if r.Err != nil {
