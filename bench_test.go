@@ -640,7 +640,7 @@ func reportPointsPerSec(b *testing.B, points float64) {
 }
 
 // BenchmarkBatchVsLooped measures one kernel batch against looped
-// Model.Solve calls (one-lane batches of the same kernel) on the 180-point
+// Model.Solve calls (the same kernel, one point at a time) on the 180-point
 // Figure 4–5 operating grid (prebuilt models, snake order, one reused
 // workspace each, so both sides measure solving only). "looped-cold" solves
 // each point from the uniform seed; "looped-warm" seeds each point from the

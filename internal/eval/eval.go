@@ -70,9 +70,10 @@ type Outcome struct {
 }
 
 // Evaluator evaluates many operating points in one call. The analytical
-// implementations back it with the lockstep batch kernel (mms.SolveBatch
-// over mva.BatchWorkspace), so a frontier's per-round probe fan-out costs
-// far less than len(cfgs) one-point solves. A failing element never affects
+// implementations back it with mms.SolveBatch, which elaborates each
+// distinct geometry once and solves each distinct system once on one
+// workspace, so a frontier's per-round probe fan-out costs less than
+// len(cfgs) independent solves. A failing element never affects
 // its neighbors; out must have len(cfgs). Implementations must be safe for
 // the concurrency they document: Solver is single-goroutine, the serving
 // layer's evaluator is fully concurrent.

@@ -54,10 +54,10 @@ type Model struct {
 	visitOut []float64 // eo[0][j]
 	visitIn  []float64 // ei[0][j]
 
-	// Merged batch-kernel rows, one (visit value, physical count) list per
-	// role (memory, outbound, inbound) with zero-visit stations dropped —
-	// computed once at elaboration so SolveBatch's per-item kernel load
-	// reads plain cached slices (see batchShapeOf, solveSymmetricBatch).
+	// Merged kernel rows, one (visit value, physical count) list per role
+	// (memory, outbound, inbound) with zero-visit stations dropped —
+	// computed once at elaboration so every symmetric solve loads plain
+	// cached slices (see batchShapeOf, solveSymmetric).
 	mergeVals   [3][]float64
 	mergeCounts [3][]float64
 

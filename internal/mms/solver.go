@@ -74,12 +74,12 @@ type SolveOptions struct {
 	Accel int
 	// WarmStart seeds the AMVA iterate from the workspace's previous
 	// converged solution when the network shape matches (ignored by
-	// ExactMVA). For SymmetricAMVA it is the batch kernel's continuation
-	// (mva.BatchOptions.WarmStart), shared by Model.Solve and SolveBatch on
-	// one workspace. Effective only with an explicit Workspace reused across
-	// solves — pool-borrowed workspaces give no locality guarantee. Without
-	// it a solve's result, Iterations included, does not depend on what the
-	// workspace solved before.
+	// ExactMVA). For SymmetricAMVA it is the workspace's continuation seed,
+	// shared by Model.Solve and SolveBatch, and the shape match compares the
+	// kernel's row count only. Effective only with an explicit Workspace
+	// reused across solves — pool-borrowed workspaces give no locality
+	// guarantee. Without it a solve's result, Iterations included, does not
+	// depend on what the workspace solved before.
 	WarmStart bool
 	// Workspace, when non-nil, supplies reusable solver scratch buffers;
 	// sweeps hand each worker its own so repeated solves allocate nothing.
@@ -173,14 +173,10 @@ func (m *Model) Solve(opts SolveOptions) (Metrics, error) {
 	if opts.Solver != SymmetricAMVA {
 		return m.solveFull(opts, ws)
 	}
-	// One lane of the batch kernel. A lane error is reported unwrapped: this
-	// solve has no batch item to name.
-	var out [1]BatchResult
-	solveSymmetricBatch(ws, []*Model{m}, []int{0}, batchShapeOf(m), opts, out[:])
-	if e, ok := out[0].Err.(*laneError); ok {
-		return Metrics{}, e.err
-	}
-	return out[0].Metrics, nil
+	// A group of one: the seed rule is SolveBatch's.
+	met, err := m.solveSymmetric(ws, ws.startGroup(batchShapeOf(m).rows(), opts.WarmStart), opts)
+	ws.endGroup()
+	return met, err
 }
 
 // solveFull solves the complete multiclass network and reads class 0's

@@ -7,12 +7,12 @@ import (
 )
 
 // Workspace holds the reusable scratch of the model solvers and of
-// SolveBatch's elaboration: the batch kernel that runs every
-// symmetric-AMVA solve (Model.Solve is a one-lane batch), an mva.Workspace
-// for the multiclass solvers, and the tables and slabs SolveBatch builds
-// its own models from. A long-lived solver (a serving pool worker, an
-// eval.Solver) keeps one workspace and reuses it for every solve or batch,
-// so the steady-state solve loop, elaboration of new batch items included,
+// SolveBatch's elaboration: the one-point kernel that runs every
+// symmetric-AMVA solve with its continuation seed, an mva.Workspace for the
+// multiclass solvers, and the tables and slabs SolveBatch builds its own
+// models from. A long-lived solver (a serving pool worker, an eval.Solver)
+// keeps one workspace and reuses it for every solve or batch, so the
+// steady-state solve loop, elaboration of new batch items included,
 // performs no per-call allocations.
 //
 // Reuse contract: a Workspace may be used by one goroutine at a time. Every
@@ -24,16 +24,16 @@ type Workspace struct {
 	// mvaWS backs the FullAMVA multiclass solver and the extension solvers
 	// (topology comparison, heterogeneous and hot-spot workloads).
 	mvaWS mva.Workspace
-	// Symmetric-AMVA scratch: the lane-major batch kernel (which also keeps the
-	// WarmStart continuation state) plus the grouping bookkeeping of
-	// SolveBatch (lane→item indices, per-item models, shape partition flags).
-	batch       mva.BatchWorkspace
-	batchIdx    []int
+	// kernel solves every symmetric-AMVA item. seed is the continuation
+	// seed: the converged iterate of the last converged item of the group
+	// solved before (empty when that group had none), so its length is that
+	// item's row count. next holds the current group's last converged
+	// iterate until endGroup makes it the seed.
+	kernel     mva.Kernel
+	seed, next []float64
+	// SolveBatch's per-item models and pass-2 done flags.
 	batchModels []*Model
 	batchDone   []bool
-	// Station-dedup scratch: the per-item merged shapes of the current
-	// batch (the row lists themselves are cached on each Model at Build).
-	batchShapes []batchShape
 	// Sharing scratch of SolveBatch: each item's first identical item (or
 	// -1), and the first item of each distinct system and of each distinct
 	// elaborated geometry in the current batch.
@@ -55,3 +55,19 @@ var wsPool = sync.Pool{New: func() any { return new(Workspace) }}
 
 func getWorkspace() *Workspace   { return wsPool.Get().(*Workspace) }
 func putWorkspace(ws *Workspace) { wsPool.Put(ws) }
+
+// startGroup begins a group of rows-row items and returns the seed each of
+// them starts from: with warm, the continuation seed when its row count is
+// rows (the rule compares row count only, not shape), else nil, a cold
+// start.
+func (ws *Workspace) startGroup(rows int, warm bool) []float64 {
+	ws.next = ws.next[:0]
+	if warm && len(ws.seed) == rows {
+		return ws.seed
+	}
+	return nil
+}
+
+// endGroup makes the group's last converged iterate the continuation seed;
+// a group with no converged item clears it.
+func (ws *Workspace) endGroup() { ws.seed, ws.next = ws.next, ws.seed }

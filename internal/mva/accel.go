@@ -10,7 +10,7 @@ import (
 // This file implements ApproxMultiClass's one fixed-point loop: evalG — one
 // full Bard–Schweitzer sweep — the raw-residual stopping test
 // ‖G(n) − n‖∞ < Tolerance, then the guarded vector Aitken (Irons–Tuck) step
-// the symmetric batch kernel takes (see BatchWorkspace). Acceleration only
+// the symmetric kernel takes (see Kernel). Acceleration only
 // changes the point the next sweep is evaluated at, never the map or the
 // convergence test, so the fixed point is the plain iteration's.
 
@@ -71,7 +71,7 @@ func (ws *Workspace) evalG(net *queueing.Network, x, g []float64, r *Result) (fl
 // iterate runs the fixed-point loop from the iterate in ws.q. Every evalG
 // sweep counts as one iteration.
 //
-// Sweeps alternate Aitken legs, as in the batch kernel. Leg 1 takes the plain
+// Sweeps alternate Aitken legs, as in the symmetric kernel. Leg 1 takes the plain
 // step x ← g, remembering the pre-sweep iterate in xPrev. Leg 2 estimates
 // the dominant contraction factor μ from the two consecutive residuals
 // r1 = x − xPrev and r2 = g − x, and sums the geometric tail in closed form,

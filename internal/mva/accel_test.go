@@ -156,6 +156,29 @@ func TestAccelFewerIterations(t *testing.T) {
 	}
 }
 
+// TestExtrapolateBounds pins the [0, class population] repair bound of
+// extrapolate from both sides: with fac = 1 the candidate is 2g − x, class
+// 1 (population 3) takes candidates up to its population, and one above it,
+// or below zero, is rejected even when every other component is in range.
+func TestExtrapolateBounds(t *testing.T) {
+	net := &queueing.Network{
+		Stations: make([]queueing.Station, 2),
+		Classes:  []queueing.Class{{Population: 2}, {Population: 3}},
+	}
+	for _, c := range []struct {
+		g1   float64 // g of class 1 at station 0, where x is 1
+		want bool
+	}{{2, true}, {1, true}, {2.5, false}, {-0.5, false}} {
+		x := []float64{1, 1, 1, 0}
+		g := []float64{1, 1, c.g1, 0}
+		if got := extrapolate(net, x, g, 1); got != c.want {
+			t.Errorf("g1 = %v: candidate %v, extrapolate = %v, want %v", c.g1, 2*c.g1-1, got, c.want)
+		} else if got && x[2] != 2*c.g1-1 {
+			t.Errorf("g1 = %v: x = %v, want the candidate %v committed", c.g1, x, 2*c.g1-1)
+		}
+	}
+}
+
 // TestWarmStartMatchesCold: a warm-started re-solve of a perturbed network
 // converges to the same fixed point (within 1e-9) in fewer iterations.
 func TestWarmStartMatchesCold(t *testing.T) {
