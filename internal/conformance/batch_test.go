@@ -10,12 +10,12 @@ import (
 )
 
 // TestGoldenCorpusBatch re-derives every committed golden point through the
-// batched SoA solve path: each point contributes three batch items (the real
+// batched solve path: each point contributes three batch items (the real
 // system plus the zero-remote and zero-delay ideals) and the whole corpus is
-// solved as one lockstep batch. The assembled measures and tolerance indices
-// must agree with the committed numbers within GoldenRelTol, so lanes seeded
-// from one another land on the corpus's fixed point. Model.Solve runs the
-// same kernel one lane at a time; the committed numbers themselves and
+// solved as one batch. The assembled measures and tolerance indices must
+// agree with the committed numbers within GoldenRelTol, so items seeded from
+// one another land on the corpus's fixed point. Model.Solve runs the same
+// one-point kernel; the committed numbers themselves and
 // TestSymmetricMatchesFullAMVA are the oracles independent of it.
 func TestGoldenCorpusBatch(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.json")
@@ -67,7 +67,7 @@ func TestGoldenCorpusBatch(t *testing.T) {
 
 // TestRandomConfigsBatchEquivalence draws seeded random configurations from
 // the certified operating range (mixed torus sizes, so the batch partitions
-// into several station shapes) and demands that one batched solve, its lanes
+// into several station shapes) and demands that one batched solve, its items
 // seeded from one another, agrees with item-by-item cold Model.Solve calls on
 // every metric within 1e-9 relative. Both sides
 // iterate to a 1e-12 residual so the comparison is not dominated by the

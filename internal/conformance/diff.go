@@ -254,7 +254,7 @@ func CheckConfig(cfg mms.Config, seed int64, trial int, opts DiffOptions) error 
 }
 
 // maxContinuationThreads bounds the thread count of RunDiff's continuation
-// leg: high enough to reach populations where a seeded kernel lane once
+// leg: high enough to reach populations where a seeded kernel solve once
 // stalled (nt = 262), cheap enough for every trial.
 const maxContinuationThreads = 512
 

@@ -30,9 +30,9 @@ func NewSolver() *Solver { return &Solver{} }
 
 // EvaluateBatch solves every element as one batch: per element a
 // real-system item plus one item per requested ideal system, all handed to
-// mms.SolveBatch, whose kernel solves equal-shape lanes in one run, each
-// seeded from the workspace's previous converged solution. out must have
-// len(cfgs).
+// mms.SolveBatch, which solves the items of one merged shape one after
+// another, each seeded from the workspace's previous converged solution.
+// out must have len(cfgs).
 func (s *Solver) EvaluateBatch(ctx context.Context, cfgs []Config, opts Options, out []Outcome) {
 	if len(out) != len(cfgs) {
 		panic("eval: EvaluateBatch: len(out) != len(cfgs)")

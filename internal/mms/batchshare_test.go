@@ -104,7 +104,7 @@ func sameBits(a, b Metrics) bool {
 // workspaces, the Config items must solve bit for bit like the list of
 // their distinct systems, each carrying its own separately built Model
 // (so nothing is shared or skipped). A duplicate gets its first
-// occurrence's outcome, and a lane error names the duplicate's own index.
+// occurrence's outcome, and a kernel error names the duplicate's own index.
 func checkSharedBatch(t *testing.T, label string, items []BatchItem, opts SolveOptions) {
 	t.Helper()
 	first := firstOccurrence(items)
@@ -131,11 +131,11 @@ func checkSharedBatch(t *testing.T, label string, items []BatchItem, opts SolveO
 			t.Fatalf("%s item %d (first %d): err %v, want %v", label, i, first[i], g.Err, w.Err)
 		}
 		if w.Err != nil {
-			var gl, wl *laneError
+			var gl, wl *itemError
 			switch {
 			case errors.As(w.Err, &wl):
 				if !errors.As(g.Err, &gl) || gl.item != i || gl.err.Error() != wl.err.Error() {
-					t.Errorf("%s item %d: err %q, want the lane error %q under item %d", label, i, g.Err, wl.err, i)
+					t.Errorf("%s item %d: err %q, want the kernel error %q under item %d", label, i, g.Err, wl.err, i)
 				}
 			case g.Err.Error() != w.Err.Error():
 				t.Errorf("%s item %d: err %q, want %q", label, i, g.Err, w.Err)
@@ -150,8 +150,8 @@ func checkSharedBatch(t *testing.T, label string, items []BatchItem, opts SolveO
 
 // TestSolveBatchSharesExactly runs the sharing oracle on a sweep-shaped
 // list, on seeded random batches, and on a sweep starved of iterations so
-// that lanes fail and their duplicates must report the lane error under
-// their own index.
+// that kernel solves fail and their duplicates must report the kernel
+// error under their own index.
 func TestSolveBatchSharesExactly(t *testing.T) {
 	checkSharedBatch(t, "sweep", sweepShapedItems(18), SolveOptions{})
 	rng := rand.New(rand.NewSource(16))
@@ -160,9 +160,9 @@ func TestSolveBatchSharesExactly(t *testing.T) {
 	}
 	starved := SolveOptions{MaxIterations: 2}
 	checkSharedBatch(t, "starved", sweepShapedItems(4), starved)
-	var le *laneError
+	var le *itemError
 	if res := SolveBatch(sweepShapedItems(4), starved); !errors.As(res[2].Err, &le) || le.item != 2 {
-		t.Fatalf("starved duplicate item 2: err %v, want a lane error naming item 2", res[2].Err)
+		t.Fatalf("starved duplicate item 2: err %v, want a kernel error naming item 2", res[2].Err)
 	}
 }
 

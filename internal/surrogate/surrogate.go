@@ -1,6 +1,6 @@
 // Package surrogate answers solve requests by interpolation instead of
 // iteration: a dense golden grid of converged AMVA solutions is precomputed
-// once (through the mms batch kernel), and a query inside the grid is served
+// once (through mms.SolveBatch), and a query inside the grid is served
 // by multilinear interpolation over the cell that contains it — a few hundred
 // nanoseconds and zero allocations instead of a solver run.
 //
@@ -275,9 +275,9 @@ type BuildOptions struct {
 	MaxIterations int
 }
 
-// Build solves every lattice node through the batch kernel (one lockstep
-// batch per station shape, continuation-seeded in node order) and derives the
-// per-cell certified bounds. Building the DefaultSpec grid (5400 nodes) takes
+// Build solves every lattice node as one mms.SolveBatch (grouped by station
+// shape, continuation-seeded in node order) and derives the per-cell
+// certified bounds. Building the DefaultSpec grid (5400 nodes) takes
 // well under a second.
 func Build(spec Spec, opts BuildOptions) (*Grid, error) {
 	if err := spec.Validate(); err != nil {
