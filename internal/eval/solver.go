@@ -30,8 +30,8 @@ func NewSolver() *Solver { return &Solver{} }
 
 // EvaluateBatch solves every element as one batch: per element a
 // real-system item plus one item per requested ideal system, all handed to
-// mms.SolveBatch, which solves the items of one merged shape one after
-// another, each seeded from the workspace's previous converged solution.
+// mms.SolveBatch, which solves the items in order, each seeded from the
+// role totals of the workspace's previous converged solution.
 // out must have len(cfgs).
 func (s *Solver) EvaluateBatch(ctx context.Context, cfgs []Config, opts Options, out []Outcome) {
 	if len(out) != len(cfgs) {

@@ -121,6 +121,56 @@ func TestSolveBatchSeededLaneConverges(t *testing.T) {
 	batchCompareMetrics(t, "continued", res[0].Metrics, want, 1e-9)
 }
 
+// TestWarmStartAcrossRowCounts continues between two Figure 4 snake points
+// whose merged layouts differ (n_t = 8 at p_remote = 0.65 has 21 kernel
+// rows, at 0.55 it has 23): seeded from the first point's role totals, the
+// second must land on its cold fixed point in fewer iterations than the
+// cold solve, both as the second item of one warm batch and as a Model.Solve
+// after the first on one workspace.
+func TestWarmStartAcrossRowCounts(t *testing.T) {
+	var models [2]*Model
+	for i, p := range []float64{0.65, 0.55} {
+		cfg := DefaultConfig()
+		cfg.Threads = 8
+		cfg.PRemote = p
+		m, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	rows := func(m *Model) int { return 1 + len(m.mergeVals[0]) + len(m.mergeVals[1]) + len(m.mergeVals[2]) }
+	if rows(models[0]) != 21 || rows(models[1]) != 23 {
+		t.Fatalf("kernel rows = %d, %d, want 21 and 23", rows(models[0]), rows(models[1]))
+	}
+	cold, err := models[1].Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SolveOptions{Workspace: new(Workspace), WarmStart: true}
+	res := SolveBatch([]BatchItem{{Model: models[0]}, {Model: models[1]}}, opts)
+	if res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("batch: %v, %v", res[0].Err, res[1].Err)
+	}
+	opts.Workspace = new(Workspace)
+	if _, err := models[0].Solve(opts); err != nil {
+		t.Fatal(err)
+	}
+	solo, err := models[1].Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label string
+		warm  Metrics
+	}{{"batch", res[1].Metrics}, {"Model.Solve", solo}} {
+		batchCompareMetrics(t, c.label, c.warm, cold, 1e-9)
+		if c.warm.Iterations >= cold.Iterations {
+			t.Errorf("%s: warm solve took %d iterations, cold %d; want fewer", c.label, c.warm.Iterations, cold.Iterations)
+		}
+	}
+}
+
 // TestSolveBatchPositionalErrors mixes an invalid configuration and a
 // zero-thread point into a healthy batch: errors land on their own index and
 // nowhere else.

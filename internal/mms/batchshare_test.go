@@ -177,7 +177,7 @@ func TestSolveBatchElaboratesOncePerGeometry(t *testing.T) {
 	dups := 0
 	visits := map[*float64]bool{}
 	for i := range items {
-		if ws.batchDupOf[i] >= 0 {
+		if ws.batchModels[i] == nil { // a duplicate takes no model
 			dups++
 			continue
 		}

@@ -57,7 +57,7 @@ type Model struct {
 	// Merged kernel rows, one (visit value, physical count) list per role
 	// (memory, outbound, inbound) with zero-visit stations dropped —
 	// computed once at elaboration so every symmetric solve loads plain
-	// cached slices (see batchShapeOf, solveSymmetric).
+	// cached slices (see distinctVisits, solveSymmetric).
 	mergeVals   [3][]float64
 	mergeCounts [3][]float64
 

@@ -73,10 +73,11 @@ type SolveOptions struct {
 	// setting.
 	Accel int
 	// WarmStart seeds the AMVA iterate from the workspace's previous
-	// converged solution when the network shape matches (ignored by
-	// ExactMVA). For SymmetricAMVA it is the workspace's continuation seed,
-	// shared by Model.Solve and SolveBatch, and the shape match compares the
-	// kernel's row count only. Effective only with an explicit Workspace
+	// converged solution (ignored by ExactMVA). For SymmetricAMVA it is the
+	// workspace's continuation seed, shared by Model.Solve and SolveBatch:
+	// the role totals of the last converged symmetric solve, which seed a
+	// point of any shape. FullAMVA reuses its previous iterate only when the
+	// network shape matches. Effective only with an explicit Workspace
 	// reused across solves — pool-borrowed workspaces give no locality
 	// guarantee. Without it a solve's result, Iterations included, does not
 	// depend on what the workspace solved before.
@@ -162,21 +163,24 @@ func (m *Model) Solve(opts SolveOptions) (Metrics, error) {
 		return Metrics{}, err
 	}
 	opts = opts.withDefaults()
-	if m.cfg.Threads == 0 {
-		return Metrics{}, nil
-	}
 	ws := opts.Workspace
 	if ws == nil {
 		ws = getWorkspace()
 		defer putWorkspace(ws)
 	}
+	return m.solve(ws, opts)
+}
+
+// solve solves the model on ws with opts.Solver: the body of Model.Solve
+// and the per-item step of SolveBatchInto. opts is validated and defaulted.
+func (m *Model) solve(ws *Workspace, opts SolveOptions) (Metrics, error) {
+	if m.cfg.Threads == 0 {
+		return Metrics{}, nil
+	}
 	if opts.Solver != SymmetricAMVA {
 		return m.solveFull(opts, ws)
 	}
-	// A group of one: the seed rule is SolveBatch's.
-	met, err := m.solveSymmetric(ws, ws.startGroup(batchShapeOf(m).rows(), opts.WarmStart), opts)
-	ws.endGroup()
-	return met, err
+	return m.solveSymmetric(ws, opts)
 }
 
 // solveFull solves the complete multiclass network and reads class 0's

@@ -106,12 +106,13 @@ func TestBatchMatchesScalarSingleClass(t *testing.T) {
 }
 
 // TestBatchWarmContinuation solves points cold, then again seeded from the
-// cold pass's last converged iterate: the seed must not change the fixed
-// point and must converge in fewer total iterations than the cold pass.
+// cold pass's last converged group totals (one per row: the points use
+// singleton groups): the seed must not change the fixed point and must
+// converge in fewer total iterations than the cold pass.
 func TestBatchWarmContinuation(t *testing.T) {
 	points := randomPoints(7, 9, 5)
 	var k Kernel
-	var seed []float64
+	seed := make([]float64, 5)
 	coldIters := 0
 	coldLambda := make([]float64, len(points))
 	for b, l := range points {
@@ -121,7 +122,7 @@ func TestBatchWarmContinuation(t *testing.T) {
 		}
 		coldIters += iters
 		coldLambda[b] = lambda
-		seed = append(seed[:0], k.Iterate()...)
+		k.Totals(seed)
 	}
 
 	warmIters := 0
@@ -151,7 +152,8 @@ func TestBatchColdRunIgnoresHistory(t *testing.T) {
 		if _, _, err := l.solve(&used, nil, DefaultTolerance, DefaultMaxIterations); err != nil {
 			t.Fatalf("history point %d: %v", b, err)
 		}
-		seed := append([]float64(nil), used.Iterate()...)
+		seed := make([]float64, n)
+		used.Totals(seed)
 		if _, _, err := l.solve(&used, seed, DefaultTolerance, DefaultMaxIterations); err != nil {
 			t.Fatalf("seeded history point %d: %v", b, err)
 		}
@@ -176,10 +178,10 @@ func TestBatchColdRunIgnoresHistory(t *testing.T) {
 
 // TestKernelOvershootingSeedConverges seeds a two-station point with its
 // whole population on the lighter station. The first leg-2 extrapolant puts
-// more than the population on one station, so the step is repaired to the
-// plain one, and the solve still lands on the cold fixed point. (The same
-// extrapolant is negative on the other station: a sweep's weighted queue
-// lengths sum to the population, so the lower bound rejects it too.)
+// more than the population on one station and is negative on the other (a
+// sweep's weighted queue lengths sum to the population), so the step is
+// repaired to the plain one, and the solve still lands on the cold fixed
+// point.
 func TestKernelOvershootingSeedConverges(t *testing.T) {
 	l := kernelPoint{visits: []float64{1, 0.5}, service: []float64{2, 3}, servers: []float64{1, 1}, pop: 10}
 	var k Kernel
@@ -193,6 +195,76 @@ func TestKernelOvershootingSeedConverges(t *testing.T) {
 	}
 	if d := relDiff(warm, cold); d > 1e-9 {
 		t.Errorf("seeded λ=%v cold λ=%v (rel %g)", warm, cold, d)
+	}
+}
+
+// groupedPoint loads a point of two queue-length groups: rows visits of
+// group 0 on even rows and group 1 on odd ones, with weights 1, 2, 3, ….
+func groupedPoint(k *Kernel, visits []float64) {
+	k.Reset(len(visits), 2)
+	for i, v := range visits {
+		k.SetRow(i, i%2, v, 1+float64(i%3), float64(1+i%2), float64(1+i))
+	}
+}
+
+// TestKernelSeedAcrossRowCounts continues from a point with another row
+// count: the 4-row point's group totals seed a 7-row point of the same two
+// groups, which must land on its cold fixed point (λ and every residence
+// time within 1e-9) in fewer iterations than the cold solve.
+func TestKernelSeedAcrossRowCounts(t *testing.T) {
+	var k Kernel
+	small := []float64{1, 0.5, 0.75, 0.25}
+	large := []float64{1, 0.5, 0.7, 0.3, 0, 0.2, 0.6}
+	groupedPoint(&k, large)
+	cold, coldIters, err := k.Solve(9, nil, DefaultTolerance, DefaultMaxIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldW := make([]float64, len(large))
+	for i := range coldW {
+		coldW[i] = k.Residence(i)
+	}
+	groupedPoint(&k, small)
+	if _, _, err := k.Solve(8, nil, DefaultTolerance, DefaultMaxIterations); err != nil {
+		t.Fatal(err)
+	}
+	seed := make([]float64, 2)
+	k.Totals(seed)
+	groupedPoint(&k, large)
+	warm, warmIters, err := k.Solve(9, seed, DefaultTolerance, DefaultMaxIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := relDiff(warm, cold); d > 1e-9 {
+		t.Errorf("seeded λ=%v cold λ=%v (rel %g)", warm, cold, d)
+	}
+	for i, w := range coldW {
+		if d := relDiff(k.Residence(i), w); d > 1e-9 {
+			t.Errorf("row %d: seeded w=%v cold w=%v (rel %g)", i, k.Residence(i), w, d)
+		}
+	}
+	if warmIters >= coldIters {
+		t.Errorf("seeded solve took %d iterations, cold %d; want fewer", warmIters, coldIters)
+	}
+}
+
+// TestKernelEmptySeedStartsCold: a seed that puts nothing on a visited row —
+// all zero, or all on a group none of whose rows is visited — starts cold,
+// bit for bit, iterations included.
+func TestKernelEmptySeedStartsCold(t *testing.T) {
+	var k Kernel
+	visits := []float64{0.8, 0, 0.4, 0}
+	groupedPoint(&k, visits)
+	cold, coldIters, err := k.Solve(5, nil, DefaultTolerance, DefaultMaxIterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range [][]float64{{0, 0}, {0, 3}} {
+		groupedPoint(&k, visits)
+		got, iters, err := k.Solve(5, seed, DefaultTolerance, DefaultMaxIterations)
+		if err != nil || got != cold || iters != coldIters {
+			t.Errorf("seed %v: λ=%v in %d iterations (err %v), want the cold λ=%v in %d", seed, got, iters, err, cold, coldIters)
+		}
 	}
 }
 
@@ -259,7 +331,7 @@ func TestBatchRunAllocates0(t *testing.T) {
 			if _, _, err := l.solve(&k, nil, DefaultTolerance, DefaultMaxIterations); err != nil {
 				t.Fatal(err)
 			}
-			copy(seed, k.Iterate())
+			k.Totals(seed)
 			if _, _, err := l.solve(&k, seed, DefaultTolerance, DefaultMaxIterations); err != nil {
 				t.Fatal(err)
 			}

@@ -288,10 +288,11 @@ type workerScratch struct {
 // computeBatch translates entries into mms batch items — one per solve key,
 // two per tolerance key (real system, then ideal) — runs them as one kernel
 // batch on the worker's workspace and completes each entry from its span of
-// the positional results. The workspace carries its last converged solution
-// forward, so runs of same-shape requests converge from a continuation guess
-// instead of from scratch; full-AMVA items warm-start the same way, from the
-// workspace's previous converged multiclass solution.
+// the positional results. The workspace carries the role totals of its last
+// converged symmetric solve forward, so each request converges from a
+// continuation guess instead of from scratch; full-AMVA items warm-start
+// from the workspace's previous converged multiclass solution of the same
+// shape.
 //
 // The solve's latency and in-flight count are recorded before the first
 // entry completes: completing an entry wakes its waiters, which may read the
