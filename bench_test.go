@@ -382,8 +382,8 @@ func figure4SnakeModels(b *testing.B) []*mms.Model {
 // BenchmarkAMVAColdVsWarm measures continuation sweeps: one op solves the
 // whole 180-point Figure 4 grid through a single reused workspace. "cold"
 // solves every point from the uniform seed; "warm" seeds each solve from
-// the neighboring point's converged solution where the merged station
-// count matches — the configuration the sweep paths actually run. Both
+// the neighboring point's converged role totals, whatever its merged
+// station count — the configuration the sweep paths actually run. Both
 // run the kernel's guarded Aitken extrapolation. The iters/solve metric is
 // the mean AMVA iteration count per grid point.
 func BenchmarkAMVAColdVsWarm(b *testing.B) {
